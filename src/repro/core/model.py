@@ -39,6 +39,10 @@ from repro.uarch.config import MicroArchConfig
 from repro.uops.database import UopsDatabase
 
 _ALL_COMPONENTS = frozenset(Component)
+#: The front-end components under the JCC erratum, in tie-break order:
+#: on equal bounds ``max`` keeps the first, so the choice never depends
+#: on set iteration (hash) order.
+_JCC_FRONT_END = (Component.PREDEC, Component.DEC)
 
 
 @dataclass
@@ -122,7 +126,7 @@ def _combine(bounds: Dict[Component, Fraction], mode: ThroughputMode,
     else:
         fe = None
         if jcc_affected:
-            fe_set = {Component.PREDEC, Component.DEC} & enabled
+            fe_set = [c for c in _JCC_FRONT_END if c in enabled]
             if fe_set:
                 fe = max(fe_set, key=lambda c: bounds[c])
         elif lsd_applicable and Component.LSD in enabled:
@@ -132,7 +136,7 @@ def _combine(bounds: Dict[Component, Fraction], mode: ThroughputMode,
         if fe is not None:
             candidates[fe] = bounds[fe]
             if jcc_affected:
-                for comp in ({Component.PREDEC, Component.DEC} & enabled):
+                for comp in fe_set:
                     candidates[comp] = bounds[comp]
         for comp in (Component.ISSUE, Component.PORTS,
                      Component.PRECEDENCE):

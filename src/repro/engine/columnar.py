@@ -18,19 +18,26 @@ signature* instead of once per raw-bytes block:
   model through ``disp != 0`` (memory-operand component counts), so two
   blocks that differ only in displacement/immediate *values* share one
   compiled entry — unseen blocks hit warm sub-results.
-* Each compiled entry stores compact numeric **columns** (per-instruction
-  lengths, opcode offsets, LCP flags; per-macro-op fused/issued µop
-  counts) plus the representative macro-op stream.  The summable and
-  layout bounds (Issue, DSB, LSD, Predec) are computed from the columns
-  with numpy — batched across whole suites in
-  :meth:`ColumnarCore.predict_many` via ``np.add.reduceat`` — while the
-  irreducibly sequential bounds (Dec's Algorithm 1, the Ports pair-union
-  heuristic, the Precedence max-cycle-ratio) run the *reference*
-  component implementations once per entry on a representative block,
-  which is what makes the core bit-for-bit equal to
+* Each compiled entry stores the representative block and macro-op
+  stream plus its fused/issued µop totals, summed once when the entry
+  is built; the Issue, DSB and LSD bounds are integer arithmetic on
+  those totals.  Predec (the 16-byte-window model), Dec's Algorithm 1,
+  the Ports pair-union heuristic, and JCC run the *reference* component
+  implementations once per entry on the representative block, which is
+  what makes the core bit-for-bit equal to
   :class:`~repro.core.model.Facile` by construction.  Ports results
   additionally flow through the shared global multiset memo
   (:func:`repro.core.ports.ports_bound_counts`).
+* Precedence is compiled.  Each signature component is lowered once
+  per core into a dependence template (its written roots, consumed
+  roots and latency edges, :func:`repro.core.precedence.lower_dependences`),
+  and each new entry builds its graph from the templates on integer
+  node ids and solves it with the exact integer Howard kernel
+  (:mod:`repro.graph.howard_int`).  The kernel replays the reference's
+  node order, visit order and tie-breaks, so the bound and critical
+  chain equal :func:`repro.core.precedence.precedence_bound`'s; the
+  differential harness and the kernel tests (``tests/graph/test_mcr.py``,
+  ``tests/core/test_precedence.py``) check it against the object model.
 
 Exactness argument, in one paragraph: the form bytes determine the
 template, every register operand (ModRM/SIB/REX/VEX.vvvv/and
@@ -63,14 +70,11 @@ and /stats surfaces are built on the object path — see
 
 from __future__ import annotations
 
-import math
 import os
 from collections import Counter, OrderedDict
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, \
     Tuple
-
-import numpy as np
 
 from repro.core.components import (
     Component,
@@ -84,7 +88,9 @@ from repro.core.lsd import lsd_unroll_count
 from repro.core.model import Prediction, _combine, _critical_indices
 from repro.core.ports import PortsResult, critical_instructions, \
     ports_bound_counts
-from repro.core.precedence import PrecedenceResult, precedence_bound
+from repro.core.precedence import DepTemplate, PrecedenceResult, \
+    compiled_precedence_bound, lower_dependences
+from repro.core.predecoder import predec_bound, simple_predec_bound
 from repro.isa.block import BasicBlock
 from repro.isa.decoder import decode
 from repro.isa.instruction import Instruction
@@ -94,7 +100,6 @@ from repro.uops.blockinfo import analyze_block, macro_ops
 from repro.uops.database import UopsDatabase
 
 _ALL_COMPONENTS = frozenset(Component)
-_BLOCK = 16  # predecoder fetch granularity (repro.core.predecoder)
 
 #: Recognized core names, and the engine-wide default.
 VALID_CORES = ("object", "columnar")
@@ -373,58 +378,26 @@ def _reset_global_tables() -> None:
 # ---------------------------------------------------------------------------
 
 class _BlockEntry:
-    """One compiled block signature: columns + memoized bound pieces."""
+    """One compiled block signature: µop totals + memoized bound pieces."""
 
-    __slots__ = ("sig", "block", "analyzed", "ops", "lengths",
-                 "opcode_offsets", "lcp_mask", "num_bytes", "fused_col",
-                 "issued_col", "n_fused", "n_issued", "port_counts",
+    __slots__ = ("sig", "block", "analyzed", "ops", "n_fused", "n_issued",
                  "dec", "ports", "ports_critical", "precedence", "jcc",
-                 "predec", "protos", "error")
+                 "protos", "error")
 
     def __init__(self, sig: Signature):
         self.sig = sig
         self.block: Optional[BasicBlock] = None
         self.analyzed = None
         self.ops = None
-        self.n_fused: Optional[int] = None
-        self.n_issued: Optional[int] = None
-        self.port_counts: Optional[Counter] = None
+        self.n_fused = 0
+        self.n_issued = 0
         self.dec: Optional[Fraction] = None
         self.ports: Optional[PortsResult] = None
         self.ports_critical: Optional[List[int]] = None
         self.precedence: Optional[PrecedenceResult] = None
         self.jcc: Optional[bool] = None
-        self.predec: Dict[ThroughputMode, Fraction] = {}
         self.protos: Dict[ThroughputMode, Prediction] = {}
         self.error: Optional[BaseException] = None
-
-
-def _predec_total(lengths: np.ndarray, opcode_offsets: np.ndarray,
-                  lcp_mask: np.ndarray, num_bytes: int, width: int,
-                  unroll: int) -> int:
-    """Vectorized Predec cycle total over *unroll* block copies.
-
-    Exact-integer numpy mirror of
-    :func:`repro.core.predecoder.predec_bound`: per-16-byte-block
-    ``L``/``O``/``LCP`` event counts via ``bincount``, ceil-divided
-    cycles, and the wrap-around LCP penalty chain via ``roll``.
-    """
-    offsets = np.concatenate(
-        (np.zeros(1, dtype=np.int64), np.cumsum(lengths)[:-1]))
-    starts = (np.arange(unroll, dtype=np.int64)[:, None] * num_bytes
-              + offsets[None, :])
-    opcode_blocks = ((starts + opcode_offsets[None, :]) // _BLOCK).ravel()
-    last_blocks = ((starts + lengths[None, :] - 1) // _BLOCK).ravel()
-    n_blocks = -((-unroll * num_bytes) // _BLOCK)
-    counts_l = np.bincount(last_blocks, minlength=n_blocks)
-    crossing = opcode_blocks != last_blocks
-    counts_o = np.bincount(opcode_blocks[crossing], minlength=n_blocks)
-    counts_lcp = np.bincount(opcode_blocks[np.tile(lcp_mask, unroll)],
-                             minlength=n_blocks)
-    cycles = -(-(counts_l + counts_o) // width)
-    prev = np.roll(cycles, 1)  # block 0 wraps to block n-1 (steady state)
-    penalty = np.maximum(0, 3 * counts_lcp - np.maximum(0, prev - 1))
-    return int((cycles + penalty).sum())
 
 
 class ColumnarCore:
@@ -432,10 +405,11 @@ class ColumnarCore:
 
     Accepts the same variant knobs as :class:`~repro.core.model.Facile`
     (``simple_predec`` / ``simple_dec`` / ``components`` / ``exclude``),
-    so every engine configuration can route through it.  Entries are
-    held per core instance (one core serves one µarch + variant) in an
-    LRU of *max_entries*; the form trie and representative-instruction
-    table are shared process-wide.
+    so every engine configuration can route through it.  Entries and
+    the per-form dependence templates are held per core instance (one
+    core serves one µarch + variant), each in an LRU of *max_entries*;
+    the form trie and representative-instruction table are shared
+    process-wide.
 
     Attributes:
         raw_hits / sig_hits / misses: lookup counters — a ``sig_hit``
@@ -462,6 +436,8 @@ class ColumnarCore:
         self.max_entries = max_entries
         self._entries: "OrderedDict[Signature, _BlockEntry]" = OrderedDict()
         self._by_raw: "OrderedDict[bytes, _BlockEntry]" = OrderedDict()
+        self._templates: "OrderedDict[_SigItem, DepTemplate]" = \
+            OrderedDict()
         self.raw_hits = 0
         self.sig_hits = 0
         self.misses = 0
@@ -488,17 +464,9 @@ class ColumnarCore:
             entry.block = block
             entry.analyzed = analyze_block(block, self.cfg, self.db)
             entry.ops = macro_ops(entry.analyzed, self.cfg)
-            entry.lengths = np.array([i.length for i in block],
-                                     dtype=np.int64)
-            entry.opcode_offsets = np.array(
-                [i.opcode_offset for i in block], dtype=np.int64)
-            entry.lcp_mask = np.array([i.has_lcp for i in block],
-                                      dtype=bool)
-            entry.num_bytes = block.num_bytes
-            entry.fused_col = np.array(
-                [op.info.fused_uops for op in entry.ops], dtype=np.int64)
-            entry.issued_col = np.array(
-                [op.info.issued_uops for op in entry.ops], dtype=np.int64)
+            for op in entry.ops:
+                entry.n_fused += op.info.fused_uops
+                entry.n_issued += op.info.issued_uops
         except Exception as exc:
             # Signature-deterministic (unsupported template on this
             # µarch, degenerate memory operand, empty block): replay
@@ -558,59 +526,15 @@ class ColumnarCore:
         self._remember(self._by_raw, raw, entry)
         return entry
 
-    # -- batched column compilation ------------------------------------
-
-    def _compile(self, entries: Sequence[_BlockEntry]) -> None:
-        """Batch-reduce the µop-count columns of fresh entries.
-
-        One concatenated numpy pass (``np.add.reduceat`` over segment
-        starts) computes every entry's fused/issued µop totals — the
-        inputs of the Issue, DSB, and LSD bounds — instead of one
-        Python reduction per block.
-        """
-        fresh: List[_BlockEntry] = []
-        seen = set()
-        for entry in entries:
-            if (entry.error is None and entry.n_fused is None
-                    and id(entry) not in seen):
-                seen.add(id(entry))
-                fresh.append(entry)
-        if not fresh:
-            return
-        fused = np.concatenate([e.fused_col for e in fresh])
-        issued = np.concatenate([e.issued_col for e in fresh])
-        sizes = np.array([len(e.fused_col) for e in fresh])
-        starts = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(sizes)[:-1]))
-        n_fused = np.add.reduceat(fused, starts)
-        n_issued = np.add.reduceat(issued, starts)
-        for entry, nf, ni in zip(fresh, n_fused, n_issued):
-            entry.n_fused = int(nf)
-            entry.n_issued = int(ni)
-
     # -- memoized per-entry bound pieces -------------------------------
-
-    def _uop_totals(self, entry: _BlockEntry) -> Tuple[int, int]:
-        if entry.n_fused is None:
-            self._compile([entry])
-        return entry.n_fused, entry.n_issued  # type: ignore[return-value]
+    # Each runs at most once per (entry, mode): ``_predict_entry`` keeps
+    # the assembled prediction.  The mode-independent pieces are kept on
+    # the entry so the second mode reuses them.
 
     def _predec_bound(self, entry: _BlockEntry,
                       mode: ThroughputMode) -> Fraction:
-        bound = entry.predec.get(mode)
-        if bound is None:
-            if self.simple_predec:
-                bound = Fraction(entry.num_bytes, _BLOCK)
-            else:
-                unroll = (1 if mode is ThroughputMode.LOOP
-                          else math.lcm(entry.num_bytes, _BLOCK)
-                          // entry.num_bytes)
-                total = _predec_total(
-                    entry.lengths, entry.opcode_offsets, entry.lcp_mask,
-                    entry.num_bytes, self.cfg.predecode_width, unroll)
-                bound = Fraction(total, unroll)
-            entry.predec[mode] = bound
-        return bound
+        bound = simple_predec_bound if self.simple_predec else predec_bound
+        return bound(entry.block, self.cfg, mode)
 
     def _dec_bound(self, entry: _BlockEntry) -> Fraction:
         if entry.dec is None:
@@ -620,27 +544,23 @@ class ColumnarCore:
         return entry.dec
 
     def _dsb_bound(self, entry: _BlockEntry) -> Fraction:
-        n_fused, _ = self._uop_totals(entry)
         width = self.cfg.dsb_width
-        if entry.num_bytes < 32:
-            return Fraction(-(-n_fused // width))
-        return Fraction(n_fused, width)
+        if entry.block.num_bytes < 32:
+            return Fraction(-(-entry.n_fused // width))
+        return Fraction(entry.n_fused, width)
 
     def _lsd_bound(self, entry: _BlockEntry) -> Fraction:
-        n_fused, _ = self._uop_totals(entry)
-        unroll = lsd_unroll_count(n_fused, self.cfg)
-        return Fraction(-(-(n_fused * unroll) // self.cfg.issue_width),
+        unroll = lsd_unroll_count(entry.n_fused, self.cfg)
+        return Fraction(-(-(entry.n_fused * unroll) // self.cfg.issue_width),
                         unroll)
 
     def _ports_result(self, entry: _BlockEntry) -> PortsResult:
         if entry.ports is None:
-            if entry.port_counts is None:
-                counts: Counter = Counter()
-                for op in entry.ops:
-                    for ports in op.info.port_sets:
-                        counts[ports] += 1
-                entry.port_counts = counts
-            entry.ports = ports_bound_counts(entry.port_counts)
+            counts: Counter = Counter()
+            for op in entry.ops:
+                for ports in op.info.port_sets:
+                    counts[ports] += 1
+            entry.ports = ports_bound_counts(counts)
         return entry.ports
 
     def _ports_critical(self, entry: _BlockEntry) -> List[int]:
@@ -651,7 +571,17 @@ class ColumnarCore:
 
     def _precedence_result(self, entry: _BlockEntry) -> PrecedenceResult:
         if entry.precedence is None:
-            entry.precedence = precedence_bound(entry.block, self.db)
+            memo = self._templates
+            templates: List[DepTemplate] = []
+            for item, instr in zip(entry.sig, entry.block):
+                template = memo.get(item)
+                if template is None:
+                    template = lower_dependences(instr, self.db)
+                    self._remember(memo, item, template)
+                else:
+                    memo.move_to_end(item)
+                templates.append(template)
+            entry.precedence = compiled_precedence_bound(templates)
         return entry.precedence
 
     def _jcc_affected(self, entry: _BlockEntry) -> bool:
@@ -686,8 +616,7 @@ class ColumnarCore:
         if Component.LSD in active:
             bounds[Component.LSD] = self._lsd_bound(entry)
         if Component.ISSUE in active:
-            _, n_issued = self._uop_totals(entry)
-            bounds[Component.ISSUE] = Fraction(n_issued,
+            bounds[Component.ISSUE] = Fraction(entry.n_issued,
                                                self.cfg.issue_width)
         if Component.PORTS in active:
             ports_detail = self._ports_result(entry)
@@ -699,10 +628,9 @@ class ColumnarCore:
 
         jcc_affected = (mode is ThroughputMode.LOOP
                         and self._jcc_affected(entry))
-        n_fused, _ = self._uop_totals(entry)
         lsd_applicable = (mode is ThroughputMode.LOOP
                           and self.cfg.lsd_enabled
-                          and n_fused <= self.cfg.idq_size)
+                          and entry.n_fused <= self.cfg.idq_size)
 
         tp, fe, bottlenecks = _combine(bounds, mode, self.enabled,
                                        jcc_affected, lsd_applicable)
@@ -750,11 +678,8 @@ class ColumnarCore:
 
     def predict_many(self, blocks: Iterable[BasicBlock],
                      mode: ThroughputMode) -> List[Prediction]:
-        """Predict a batch; fresh entries' columns reduce in one numpy
-        pass — drop-in for ``Facile.predict_many``."""
-        entries = [self._resolve_block(block) for block in blocks]
-        self._compile(entries)
-        return [self._predict_entry(entry, mode) for entry in entries]
+        """Predict a batch — drop-in for ``Facile.predict_many``."""
+        return [self.predict(block, mode) for block in blocks]
 
     def predict_raw(self, raw: bytes, mode: ThroughputMode) -> Prediction:
         """Predict straight from block bytes.
@@ -768,22 +693,23 @@ class ColumnarCore:
 
     def predict_raw_many(self, raws: Iterable[bytes],
                          mode: ThroughputMode) -> List[Prediction]:
-        """Batched :meth:`predict_raw` with one columnar reduce pass."""
-        entries = [self._resolve_raw(raw) for raw in raws]
-        self._compile(entries)
-        return [self._predict_entry(entry, mode) for entry in entries]
+        """:meth:`predict_raw` over a batch."""
+        return [self.predict_raw(raw, mode) for raw in raws]
 
     def stats(self) -> Dict[str, int]:
-        """Lookup counters plus the compiled-entry population."""
+        """Lookup counters plus the compiled-entry and dependence-template
+        populations."""
         return {
             "entries": len(self._entries),
+            "templates": len(self._templates),
             "raw_hits": self.raw_hits,
             "sig_hits": self.sig_hits,
             "misses": self.misses,
         }
 
     def clear(self) -> None:
-        """Drop this core's compiled entries (counters are kept).
+        """Drop this core's compiled entries and dependence templates
+        (counters are kept).
 
         The process-wide form trie and representative table are shared
         with other cores and stay; tests that need a cold trie use
@@ -791,3 +717,4 @@ class ColumnarCore:
         """
         self._entries.clear()
         self._by_raw.clear()
+        self._templates.clear()

@@ -12,6 +12,11 @@ Two MCR algorithms are provided:
 * :func:`~repro.graph.lawler.lawler_max_cycle_ratio` — Lawler's binary
   search with Bellman-Ford feasibility checks, used as a reference
   implementation and for the MCR ablation bench.
+
+:func:`~repro.graph.howard_int.howard_max_cycle_ratio_int` is Howard's
+algorithm again, on integer node ids in exact integer arithmetic, with
+the same result and critical cycle as the reference; the columnar
+prediction core runs it.
 """
 
 from repro.graph.core import RatioGraph

@@ -41,7 +41,11 @@ class DependenceGraphBuilder:
         current_writer: Dict[str, int] = {}
         for idx, instr in enumerate(block):
             edges = self.db.dep_latencies(instr)
-            consumed_roots = {src.name for src, _dst, _lat in edges}
+            # First-appearance order: a set's order would follow string
+            # hashes and make the node order (and with it the reported
+            # critical cycle among equal-ratio ones) vary per process.
+            consumed_roots = dict.fromkeys(src.name for src, _dst, _lat
+                                           in edges)
             for root in consumed_roots:
                 producer = current_writer.get(root)
                 count = 0

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.isa.operands import ImmOperand, MemOperand, Operand, RegOperand
-from repro.isa.registers import FLAGS, Register
+from repro.isa.registers import FLAGS, Register, register_by_name
 from repro.isa.templates import Access, InstrTemplate, SlotKind
 
 
@@ -127,7 +127,6 @@ class Instruction:
         return regs
 
     def _implicit_reads(self) -> List[Register]:
-        from repro.isa.registers import register_by_name
         mnem = self.mnemonic
         if mnem in ("mul", "div"):
             regs = [register_by_name("rax")]
@@ -141,7 +140,6 @@ class Instruction:
         return []
 
     def _implicit_writes(self) -> List[Register]:
-        from repro.isa.registers import register_by_name
         mnem = self.mnemonic
         if mnem in ("mul", "div"):
             return [register_by_name("rax"), register_by_name("rdx")]

@@ -87,10 +87,11 @@ class UopsDatabase:
         addr_roots = set()
         if mem is not None:
             addr_roots = {r.root().name for r in mem.address_regs()}
+        written = instr.regs_written()
         edges = []
         for src in instr.regs_read():
             extra = info.load_latency if src.name in addr_roots else 0
-            for dst in instr.regs_written():
+            for dst in written:
                 edges.append((src, dst, base + extra))
         return edges
 

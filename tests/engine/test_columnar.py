@@ -138,18 +138,27 @@ class TestMemoization:
         assert core.stats()["raw_hits"] == 1
 
     def test_max_entries_bound(self, blocks):
+        unbounded = ColumnarCore(SKL)
+        unbounded.predict_many(blocks, ThroughputMode.LOOP)
+        assert unbounded.stats()["templates"] > 4  # the bound will bite
         core = ColumnarCore(SKL, max_entries=4)
         core.predict_many(blocks, ThroughputMode.LOOP)
         assert core.stats()["entries"] <= 4
-        # Evicted entries recompile correctly.
-        assert core.predict(blocks[0], ThroughputMode.LOOP) \
-            == Facile(SKL).predict(blocks[0], ThroughputMode.LOOP)
+        assert core.stats()["templates"] <= 4
+        # Evicted entries and templates recompile correctly.
+        reference = Facile(SKL)
+        for block in blocks:
+            assert core.predict(block, ThroughputMode.LOOP) \
+                == reference.predict(block, ThroughputMode.LOOP)
+        assert core.stats()["templates"] <= 4
 
     def test_clear(self, blocks):
         core = ColumnarCore(SKL)
         core.predict_many(blocks, ThroughputMode.LOOP)
+        assert core.stats()["templates"] > 0
         core.clear()
         assert core.stats()["entries"] == 0
+        assert core.stats()["templates"] == 0
         assert core.predict(blocks[0], ThroughputMode.LOOP) \
             == Facile(SKL).predict(blocks[0], ThroughputMode.LOOP)
 
