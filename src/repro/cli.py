@@ -260,15 +260,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         service = PredictionService(
             uarch=args.uarch, host=args.host, port=args.port,
-            n_workers=args.workers, max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
+            max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
             max_queue=(args.max_queue if args.max_queue > 0 else None),
-            shard=not args.no_shard, cache_dir=args.cache_dir)
+            shard=not args.no_shard)
     except (ValueError, OSError) as exc:
         print(f"facile serve: {exc}", file=sys.stderr)
         return 2
     if args.warm is not None:
-        from repro.engine.persist import load_corpus
+        from repro.discovery.coverage import load_corpus
         try:
             hexes = load_corpus(args.warm)
             warmed = service.warm(hexes, uarch=args.uarch)
@@ -278,9 +277,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             service.close()
             return 2
         logger.info("warmed", pairs=warmed, corpus=args.warm)
-    # Report the *effective* worker count: with --workers omitted the
-    # engines inherit the process-wide default (REPRO_ENGINE_WORKERS /
-    # set_default_workers), which the service resolves at construction.
     # The ``serving`` event is the machine-readable startup banner —
     # scripts (scripts/obs_smoke.py) parse it off stderr for the bound
     # port, so its field names are part of the observable surface.
@@ -288,7 +284,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 url=f"http://{service.host}:{service.port}",
                 host=service.host, port=service.port,
                 uarch=args.uarch,
-                workers=service.n_workers,
                 max_batch=args.max_batch,
                 max_wait_ms=args.max_wait_ms,
                 endpoints="GET /v1/health /v1/stats /v1/metrics; "
@@ -595,9 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP port (0 = pick an ephemeral port)")
     serve.add_argument("--uarch", default="SKL",
                        help="default µarch for requests that omit one")
-    serve.add_argument("--workers", type=_workers_arg, default=None,
-                       help="engine worker processes per µarch "
-                            "(0 = one per CPU; default serial)")
     serve.add_argument("--max-batch", type=int,
                        default=DEFAULT_MAX_BATCH,
                        help="micro-batch window size (requests)")
@@ -609,15 +601,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-wait-ms", type=float,
                        default=DEFAULT_MAX_WAIT_MS,
                        help="micro-batch window timeout (milliseconds)")
-    serve.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="persist analysis caches under DIR (one "
-                            "<uarch>.facc file each; they survive "
-                            "restarts)")
     serve.add_argument("--warm", default=None, metavar="CORPUS",
                        help="pre-analyze a block corpus (hex per line, "
                             "or a BHive-style CSV) before serving")
     serve.add_argument("--no-shard", action="store_true",
-                       help="keep engines in-process instead of "
+                       help="predict in-process instead of in "
                             "per-µarch worker shards (debugging / "
                             "fork-hostile environments)")
     _add_log_level_arg(serve)

@@ -13,7 +13,8 @@ The engine has three layers (see the module docstrings for details):
   equal to the :class:`~repro.core.model.Facile` object model;
 * :mod:`repro.engine.batching` — :class:`MicroBatcher`, the time/size-
   windowed queue that merges concurrent single-block requests (the
-  prediction service's traffic) into ``Engine.predict_many`` calls;
+  prediction service's traffic) into one ``predict_many`` call per
+  window;
 * :mod:`repro.engine.bench` — the performance-regression harness behind
   ``benchmarks/perf/`` and ``scripts/bench.py``.
 

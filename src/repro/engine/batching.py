@@ -1,22 +1,26 @@
-"""Time/size-windowed micro-batching onto :meth:`Engine.predict_many`.
+"""Time/size-windowed micro-batching onto a backend's ``predict_many``.
 
 The prediction service accepts requests from many concurrent clients,
-but the engine's fast path is a *batch* call: one thread walking a list
-of blocks through the shared :class:`~repro.engine.cache.AnalysisCache`
-(or fanning it out over the worker pool).  :class:`MicroBatcher`
-bridges the two worlds:
+but prediction's fast path is a *batch* call: one thread walking a list
+of blocks through one core's caches.  :class:`MicroBatcher` bridges the
+two worlds:
 
-* client threads :meth:`submit` single ``(block, mode)`` requests and
+* client threads :meth:`submit` single ``(payload, mode)`` requests and
   receive a :class:`concurrent.futures.Future`;
 * one dispatcher thread drains the queue in windows — a batch closes as
   soon as it holds ``max_batch`` requests *or* ``max_wait_ms`` elapsed
   since the window opened, whichever comes first — groups the window by
-  mode, and resolves each group with one ``Engine.predict_many`` call.
+  mode, and resolves each group with one ``backend.predict_many`` call,
+  one result per payload.
 
-Because the dispatcher is the only thread that touches the engine, the
-(unsynchronized) analysis cache is never accessed concurrently, and the
-predictions handed back are exactly what a serial
-``Engine.predict_many`` over the same blocks would return — batching
+The batcher never looks inside a payload: an
+:class:`~repro.engine.engine.Engine` backend takes blocks and answers
+predictions, the service's shards take ``(raw bytes,
+counterfactuals)`` pairs and answer serialized fragments
+(:mod:`repro.service.shard`).  Because the dispatcher is the only
+thread that touches the backend, its (unsynchronized) caches are never
+accessed concurrently, and the results handed back are exactly what a
+serial ``predict_many`` over the same payloads would return — batching
 changes latency and throughput, never results.
 
 Overload behavior (see ``docs/ROBUSTNESS.md``):
@@ -52,7 +56,7 @@ from repro.robustness.errors import DeadlineExceeded, QueueFullError
 DEFAULT_MAX_BATCH = 64
 DEFAULT_MAX_WAIT_MS = 5.0
 
-#: One queued request: block, mode, future, optional deadline, and the
+#: One queued request: payload, mode, future, optional deadline, and the
 #: trace id of the originating request (``None`` outside the service).
 _Entry = Tuple[BasicBlock, ThroughputMode, Future, Optional[float],
                Optional[str]]
@@ -64,11 +68,12 @@ _WINDOW_SIZE = metrics.histogram(
 
 
 class MicroBatcher:
-    """Merge concurrent single-block requests into engine batch calls.
+    """Merge concurrent single-block requests into backend batch calls.
 
     Args:
-        engine: any object with a ``predict_many(blocks, mode)`` method
-            (normally a :class:`~repro.engine.engine.Engine`).
+        engine: any object with a ``predict_many(payloads, mode)``
+            method returning one result per payload (an
+            :class:`~repro.engine.engine.Engine`, or a service shard).
         max_batch: maximum requests per dispatch window (>= 1).
         max_wait_ms: how long an open window waits for more requests
             before dispatching what it has.  ``0`` dispatches eagerly —

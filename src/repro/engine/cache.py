@@ -30,24 +30,20 @@ Cache-key design
 
 The cache is **LRU-bounded** (``max_blocks``, default
 :data:`DEFAULT_MAX_BLOCKS`) and keeps lifetime ``hits`` / ``misses`` /
-``evictions`` counters; :meth:`AnalysisCache.stats` returns them as the
-JSON payload the prediction service serves at ``/stats``.  An optional
-**persistent layer** (:class:`repro.engine.persist.PersistentAnalysisCache`)
-sits under the LRU: memory misses consult it before re-deriving
-(``disk_hits`` counts those), and :meth:`AnalysisCache.sync_persistent`
-appends newly-computed artifacts back to disk so they survive restarts.
+``evictions`` counters; :meth:`AnalysisCache.stats` returns them as a
+JSON-ready dict.
 
 The cached artifacts are treated as immutable by all consumers; do not
 mutate ``analyzed``/``ops`` in place.  The cache itself is **not**
-thread-safe: batch consumers route all lookups through one thread (the
-service's :class:`~repro.engine.batching.MicroBatcher` dispatcher does
-exactly this).
+thread-safe: batch consumers route all lookups through one thread (a
+:class:`~repro.engine.batching.MicroBatcher` dispatcher does exactly
+this).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.ports import PortsResult, critical_instructions, ports_bound
 from repro.core.precedence import PrecedenceResult, precedence_bound
@@ -56,9 +52,6 @@ from repro.uarch.config import MicroArchConfig
 from repro.uops.blockinfo import AnalyzedInstruction, MacroOp, analyze_block, \
     macro_ops
 from repro.uops.database import UopsDatabase
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard only
-    from repro.engine.persist import PersistentAnalysisCache
 
 
 class BlockAnalysis:
@@ -117,33 +110,11 @@ class BlockAnalysis:
             self._precedence = precedence_bound(self.block, self.db)
         return self._precedence
 
-    # -- persistence hooks (repro.engine.persist) ----------------------
-
-    def export_artifacts(self) -> Dict[str, object]:
-        """The lazily-computed slots, ``None`` where not yet computed."""
-        return {"analyzed": self._analyzed, "ops": self._ops,
-                "ports": self._ports, "ports_critical": self._ports_critical,
-                "precedence": self._precedence}
-
-    def import_artifacts(self, artifacts: Dict[str, object]) -> None:
-        """Pre-fill the lazy slots from a persisted artifact dict.
-
-        Unknown keys are ignored and ``None`` values never overwrite a
-        computed slot, so a stale or partial record degrades to lazy
-        recomputation rather than failing.
-        """
-        for name in ("analyzed", "ops", "ports", "ports_critical",
-                     "precedence"):
-            value = artifacts.get(name)
-            if value is not None:
-                setattr(self, "_" + name, value)
-
 
 #: Default cache capacity.  Suites are a few hundred blocks; the cap
 #: matters for process-lifetime shared databases (e.g. the no-elim
-#: baseline database) and for the long-lived prediction service, where
-#: it bounds memory while the LRU policy keeps the hot working set
-#: resident.
+#: baseline database), where it bounds memory while the LRU policy
+#: keeps the hot working set resident.
 DEFAULT_MAX_BLOCKS = 65536
 
 
@@ -158,30 +129,26 @@ class AnalysisCache:
     are held, each insertion evicts the least-recently-used entry (a
     hit refreshes the entry's recency).  Eviction only costs a
     re-analysis on a later lookup — results never change.  The LRU
-    policy is what makes a bounded cache serve a long-lived prediction
-    service well: a hot working set of blocks stays resident while
-    one-off blocks age out.
+    policy is what makes a bounded cache serve a long-lived process
+    well: a hot working set of blocks stays resident while one-off
+    blocks age out.
 
     Attributes:
-        hits / misses / evictions: lifetime lookup statistics (also
-            surfaced by the service's ``/stats`` endpoint via
+        hits / misses / evictions: lifetime lookup statistics (see
             :meth:`stats`).
     """
 
     def __init__(self, db: UopsDatabase,
-                 max_blocks: int = DEFAULT_MAX_BLOCKS,
-                 persistent: Optional["PersistentAnalysisCache"] = None):
+                 max_blocks: int = DEFAULT_MAX_BLOCKS):
         if max_blocks < 1:
             raise ValueError("max_blocks must be >= 1")
         self.db = db
         self.cfg: MicroArchConfig = db.cfg
         self.max_blocks = max_blocks
-        self.persistent = persistent
         self._blocks: "OrderedDict[bytes, BlockAnalysis]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.disk_hits = 0
 
     @classmethod
     def shared(cls, db: UopsDatabase) -> "AnalysisCache":
@@ -208,11 +175,6 @@ class AnalysisCache:
         if found is None:
             self.misses += 1
             found = BlockAnalysis(block, self.db)
-            if self.persistent is not None:
-                artifacts = self.persistent.load(signature)
-                if artifacts is not None:
-                    found.import_artifacts(artifacts)
-                    self.disk_hits += 1
             while len(self._blocks) >= self.max_blocks:
                 self._blocks.popitem(last=False)
                 self.evictions += 1
@@ -222,21 +184,6 @@ class AnalysisCache:
             self._blocks.move_to_end(signature)
         return found
 
-    def sync_persistent(self) -> int:
-        """Flush resident analyses to the persistent layer (if any).
-
-        Every resident block whose computed artifact coverage grew since
-        its last store is appended to the on-disk cache in one batch.
-        Returns the number of records written; 0 without a persistent
-        layer attached.
-        """
-        if self.persistent is None:
-            return 0
-        for signature, analysis in self._blocks.items():
-            self.persistent.maybe_store(signature,
-                                        analysis.export_artifacts())
-        return self.persistent.flush()
-
     @property
     def hit_rate(self) -> float:
         """Fraction of lookups served from the cache (0.0 when unused)."""
@@ -244,23 +191,15 @@ class AnalysisCache:
         return self.hits / total if total else 0.0
 
     def stats(self) -> Dict[str, object]:
-        """A JSON-ready snapshot of the cache counters.
-
-        This is the payload behind the ``cache`` field of the prediction
-        service's ``/stats`` endpoint (see ``docs/SERVICE.md``).
-        """
-        snapshot: Dict[str, object] = {
+        """A JSON-ready snapshot of the cache counters."""
+        return {
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
             "size": len(self._blocks),
             "max_blocks": self.max_blocks,
             "hit_rate": round(self.hit_rate, 4),
-            "disk_hits": self.disk_hits,
         }
-        if self.persistent is not None:
-            snapshot["persistent"] = self.persistent.stats()
-        return snapshot
 
     def clear(self) -> None:
         """Drop all cached analyses (statistics are kept)."""

@@ -56,21 +56,25 @@ The trie is guarded, not trusted: a form is only inserted when doing so
 keeps the leaf set prefix-free (fixed-byte NOP patterns are installed
 first); any form that would conflict is *poisoned* and its instructions
 fall back to exact-raw-bytes leaves, which is always correct, merely
-less shared.  Like the Ports memo, the global tables are process-wide
-and not thread-safe under mutation; batch consumers route lookups
-through one thread (the service's MicroBatcher dispatcher does).
+less shared.  The trie and the representative table are process-wide
+and shared by every core, so cores on different threads (the service's
+per-µarch dispatchers with ``--no-shard`` or after a shard fallback)
+insert new forms under one module lock; the walk over known forms
+takes no lock.  A core's own entries and templates are not
+synchronized: one core serves one thread.
 
 Select the core per :class:`~repro.engine.engine.Engine` with
 ``core="object"|"columnar"``, per process with ``REPRO_ENGINE_CORE``,
 or per CLI run with ``facile predict --core``.  The default is
-``columnar``; the service tier pins ``object`` (its persistent cache
-and /stats surfaces are built on the object path — see
-``docs/ARCHITECTURE.md``).
+``columnar``, and the prediction service runs nothing else: its shards
+predict straight from request bytes with
+:meth:`ColumnarCore.predict_raw_counted` (see ``docs/ARCHITECTURE.md``).
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from collections import Counter, OrderedDict
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, \
@@ -189,6 +193,8 @@ _RAW_LEAVES: Dict[bytes, _Leaf] = {}   # exact-raw fallback leaves
 #: analysis of any instruction with the same signature is identical,
 #: so one representative serves every core and µarch.
 _REP_INSTRS: Dict[_SigItem, Instruction] = {}
+#: Serializes form insertion (check, then insert) across threads.
+_INSERT_LOCK = threading.Lock()
 
 
 def _insert_form(form: bytes, disp_len: int, imm_len: int) -> Optional[_Leaf]:
@@ -305,16 +311,18 @@ def _leaf_for_instruction(instr: Instruction) -> _SigItem:
         form = raw[:form_len]
         known = _FORM_INDEX.get(form)
         if known is None:
-            leaf = _insert_form(form, disp_len, imm_len)
-        elif known is not _POISONED:
+            with _INSERT_LOCK:
+                known = _FORM_INDEX.get(form)
+                if known is None:
+                    known = _insert_form(form, disp_len, imm_len)
+        if known is not None and known is not _POISONED:
             leaf = known  # type: ignore[assignment]
             if (leaf.disp_len, leaf.imm_len) != (disp_len, imm_len):
                 leaf = None  # inconsistent split: fall back (defensive)
     if leaf is None:
         leaf = _RAW_LEAVES.get(raw)
         if leaf is None:
-            leaf = _Leaf(len(raw), 0, 0)
-            _RAW_LEAVES[raw] = leaf
+            leaf = _RAW_LEAVES.setdefault(raw, _Leaf(len(raw), 0, 0))
         key: _SigItem = (leaf, True)
     else:
         mem = instr.mem_operand()
@@ -690,6 +698,14 @@ class ColumnarCore:
         would raise them.
         """
         return self._predict_entry(self._resolve_raw(raw), mode)
+
+    def predict_raw_counted(self, raw: bytes, mode: ThroughputMode
+                            ) -> Tuple[Prediction, int]:
+        """:meth:`predict_raw` plus the block's instruction count, read
+        off the compiled signature, so a caller holding only bytes can
+        serialize the prediction without decoding the block."""
+        entry = self._resolve_raw(raw)
+        return self._predict_entry(entry, mode), len(entry.sig)
 
     def predict_raw_many(self, raws: Iterable[bytes],
                          mode: ThroughputMode) -> List[Prediction]:

@@ -54,7 +54,6 @@ from repro.core.model import Facile, Prediction
 from repro.engine.cache import AnalysisCache
 from repro.engine.columnar import ColumnarCore, resolve_core
 from repro.isa.block import BasicBlock
-from repro.obs import log as obslog
 from repro.obs import metrics
 from repro.robustness.errors import EngineTaskError, PredictorError
 from repro.robustness.faults import act_in_worker, active_plan
@@ -270,19 +269,17 @@ class Engine:
             path, :class:`~repro.engine.columnar.ColumnarCore`) or
             ``"object"`` (the Facile object-model reference).  Both are
             bit-for-bit identical; ``None`` resolves via
-            ``REPRO_ENGINE_CORE``, default ``columnar``.  The object
-            core is the one that populates ``self.cache`` (the analysis
-            cache) — callers that depend on its counters or on the
-            persistent cache layer (the service tier) pin
-            ``core="object"``.
+            ``REPRO_ENGINE_CORE``, default ``columnar``.  Only the
+            object core populates ``self.cache`` (the analysis cache);
+            the columnar core keeps its own counters
+            (``self.columnar.stats()``).
 
     The engine can be used as a context manager; ``close()`` shuts the
     worker pool down.
 
     The engine itself is not thread-safe; concurrent callers should go
-    through :class:`repro.engine.MicroBatcher` (as the prediction
-    service does), which funnels all traffic into one dispatcher
-    thread.
+    through :class:`repro.engine.MicroBatcher`, which funnels all
+    traffic into one dispatcher thread.
     """
 
     def __init__(self, cfg: MicroArchConfig, *,
@@ -336,7 +333,7 @@ class Engine:
         self.chunksize = max(1, chunksize)
         self.task_timeout = task_timeout
         self.max_task_retries = max_task_retries
-        # Recovery counters (surfaced by the service's /stats).
+        # Recovery counters.
         self.tasks_retried = 0
         self.pool_respawns = 0
         self.tasks_failed = 0
@@ -416,9 +413,7 @@ class Engine:
 
     def predict_many(self, blocks: Sequence[BasicBlock],
                      mode: ThroughputMode, *,
-                     on_error: str = "raise",
-                     traces: Optional[Sequence[Optional[str]]] = None
-                     ) -> List[PredictResult]:
+                     on_error: str = "raise") -> List[PredictResult]:
         """Predict a whole batch, preserving input order.
 
         Serial unless the engine was configured with workers; both paths
@@ -432,19 +427,12 @@ class Engine:
                 original exception); ``"record"`` degrades the failing
                 task's result slot to a :class:`PredictorError` and
                 keeps every other slot intact.
-            traces: optional per-block trace ids from the service front
-                end — logged at debug level for request joining, never
-                touched otherwise (predictions cannot depend on them).
         """
         if on_error not in ("raise", "record"):
             raise ValueError("on_error must be 'raise' or 'record'")
         blocks = list(blocks)
         if not blocks:
             return []
-        if traces is not None and obslog.level_enabled("debug"):
-            obslog.get_logger("engine").debug(
-                "predict_many", n_blocks=len(blocks), mode=mode.value,
-                traces=sorted({t for t in traces if t}))
         if not self.parallel or len(blocks) == 1:
             if on_error == "raise":
                 return self.predictor.predict_many(blocks, mode)

@@ -449,9 +449,10 @@ METRIC_CATALOG: Dict[str, Tuple[str, str]] = {
     "facile_response_cache_misses_total":
         (COUNTER, "Response-fragment cache misses, by uarch"),
     "facile_analysis_cache_hits_total":
-        (COUNTER, "Analysis cache hits inside the serving shard, by uarch"),
+        (COUNTER, "Shard core lookups answered by a compiled entry "
+                  "(raw + signature hits), by uarch"),
     "facile_analysis_cache_misses_total":
-        (COUNTER, "Analysis cache misses inside the serving shard, by uarch"),
+        (COUNTER, "Shard core lookups that compiled a new entry, by uarch"),
     "facile_batcher_requests_total":
         (COUNTER, "Requests admitted to the micro-batcher, by uarch"),
     "facile_batcher_batches_total":

@@ -1,14 +1,16 @@
 """The prediction service: Facile as long-lived infrastructure.
 
-``facile serve`` exposes the batch engine of :mod:`repro.engine` over
-HTTP (stdlib only, JSON bodies).  The package has four modules:
+``facile serve`` exposes the columnar prediction core of
+:mod:`repro.engine` over HTTP (stdlib only, JSON bodies).  The package
+has four modules:
 
 * :mod:`repro.service.serialize` — the wire format: request parsing,
   canonical JSON encoding of :class:`~repro.core.model.Prediction`
   values (deterministic bytes, so batching never changes responses),
   and the versioned v1 response envelope / error-code vocabulary;
 * :mod:`repro.service.shard` — :class:`~repro.service.shard.ShardEngine`,
-  the per-µarch worker-process proxy the front-end shards work across;
+  the per-µarch worker-process proxy that decodes, predicts, and
+  serializes the blocks the front-end could not answer from its cache;
 * :mod:`repro.service.server` — :class:`PredictionService`, an
   ``asyncio`` front-end that parses HTTP on an event loop, answers hot
   blocks from a response-fragment cache, and feeds everything else

@@ -19,7 +19,7 @@ HTTP status the server should answer with (400 for malformed bodies,
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import json
 
@@ -71,11 +71,20 @@ def prediction_to_dict(prediction: Prediction, block: BasicBlock,
         counterfactuals: include per-component idealization speedups
             (the Table-4 analysis) under ``counterfactual_speedups``.
     """
+    return prediction_payload(prediction, block.raw, len(block), uarch,
+                              counterfactuals=counterfactuals)
+
+
+def prediction_payload(prediction: Prediction, raw: bytes,
+                       n_instructions: int, uarch: str, *,
+                       counterfactuals: bool = False) -> Dict:
+    """:func:`prediction_to_dict` from a block's bytes and instruction
+    count, for callers that never decode the block (the shard)."""
     payload = {
         "block": {
-            "hex": block.raw.hex(),
-            "instructions": len(block),
-            "bytes": block.num_bytes,
+            "hex": raw.hex(),
+            "instructions": n_instructions,
+            "bytes": len(raw),
         },
         "uarch": uarch,
         "mode": prediction.mode.value,
@@ -117,8 +126,9 @@ def parse_json_body(raw: bytes) -> Dict:
     return body
 
 
-def parse_block(obj: Dict, *, field: str = "request") -> BasicBlock:
-    """Build a block from a ``{"hex": ...}`` or ``{"asm": ...}`` object."""
+def _block_text(obj: Dict, field: str) -> Tuple[Optional[str],
+                                                Optional[str]]:
+    """``(hex, asm)`` of a block object, exactly one of them set."""
     if not isinstance(obj, dict):
         raise RequestError(f"{field} must be an object with "
                            "an 'hex' or 'asm' field")
@@ -127,16 +137,36 @@ def parse_block(obj: Dict, *, field: str = "request") -> BasicBlock:
     if (raw_hex is None) == (asm is None):
         raise RequestError(
             f"{field} needs exactly one of 'hex' or 'asm'")
+    if raw_hex is not None and not isinstance(raw_hex, str):
+        raise RequestError(f"undecodable {field}: 'hex' must be a string")
+    if asm is not None and not isinstance(asm, str):
+        raise RequestError(f"undecodable {field}: 'asm' must be a string")
+    return raw_hex, asm
+
+
+def parse_block_bytes(obj: Dict, *, field: str = "request") -> bytes:
+    """A block's bytes from a ``{"hex": ...}`` or ``{"asm": ...}`` object.
+
+    Hex goes through ``bytes.fromhex`` and assembly is assembled; the
+    bytes are never decoded here.  Whether they decode is the shard's
+    to find out (:func:`repro.service.shard.predict_fragments`).
+    """
+    raw_hex, asm = _block_text(obj, field)
     try:
         if raw_hex is not None:
-            if not isinstance(raw_hex, str):
-                raise ValueError("'hex' must be a string")
+            return bytes.fromhex(raw_hex)
+        return BasicBlock.from_asm(asm.replace("\\n", "\n")).raw
+    except Exception as exc:
+        raise RequestError(f"undecodable {field}: {exc}")
+
+
+def parse_block(obj: Dict, *, field: str = "request") -> BasicBlock:
+    """Build a block from a ``{"hex": ...}`` or ``{"asm": ...}`` object."""
+    raw_hex, asm = _block_text(obj, field)
+    try:
+        if raw_hex is not None:
             return BasicBlock.from_bytes(bytes.fromhex(raw_hex))
-        if not isinstance(asm, str):
-            raise ValueError("'asm' must be a string")
         return BasicBlock.from_asm(asm.replace("\\n", "\n"))
-    except RequestError:
-        raise
     except Exception as exc:
         raise RequestError(f"undecodable {field}: {exc}")
 
@@ -151,8 +181,9 @@ def parse_mode(body: Dict) -> ThroughputMode:
             f"unknown mode {value!r} (expected 'unrolled' or 'loop')")
 
 
-def parse_blocks(body: Dict, *, max_blocks: int) -> List[BasicBlock]:
-    """The block list of a bulk request (bounded, order-preserving)."""
+def parse_blocks(body: Dict, *, max_blocks: int) -> List[bytes]:
+    """The block bytes of a bulk request (bounded, order-preserving;
+    see :func:`parse_block_bytes`)."""
     blocks = body.get("blocks")
     if not isinstance(blocks, list) or not blocks:
         raise RequestError("'blocks' must be a non-empty array")
@@ -160,7 +191,7 @@ def parse_blocks(body: Dict, *, max_blocks: int) -> List[BasicBlock]:
         raise RequestError(
             f"bulk request too large ({len(blocks)} blocks; "
             f"the server accepts at most {max_blocks})", status=413)
-    return [parse_block(obj, field=f"blocks[{index}]")
+    return [parse_block_bytes(obj, field=f"blocks[{index}]")
             for index, obj in enumerate(blocks)]
 
 

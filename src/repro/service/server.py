@@ -2,13 +2,15 @@
 
 :class:`PredictionService` is an ``asyncio`` front-end over per-µarch
 worker-process shards.  The event loop owns only cheap work — HTTP
-parsing, routing, response-fragment cache lookups, byte assembly —
-while every prediction crosses into the µarch's
-:class:`~repro.service.shard.ShardEngine` worker process through the
+parsing, turning each block into bytes, response-fragment cache
+lookups keyed on those bytes, byte assembly — and never decodes a
+block.  Only fragment misses cross into the µarch's
+:class:`~repro.service.shard.ShardEngine` worker process, as ``(raw
+bytes, counterfactuals)`` payloads through the
 :class:`~repro.engine.batching.MicroBatcher`, so concurrent clients are
-micro-batched onto one ``predict_many`` pass per window and share that
-process's analysis cache (and its persistent on-disk layer, when the
-service runs with ``cache_dir``).
+micro-batched onto one pass per window over that process's
+:class:`~repro.engine.columnar.ColumnarCore`, which decodes, predicts
+and serializes them.
 
 Two route namespaces serve the same engine:
 
@@ -40,7 +42,6 @@ from __future__ import annotations
 import asyncio
 import http.client
 import math
-import os
 import socket
 import sys
 import threading
@@ -53,10 +54,6 @@ from collections import OrderedDict
 from repro.core.components import ThroughputMode
 from repro.engine.batching import DEFAULT_MAX_BATCH, DEFAULT_MAX_WAIT_MS, \
     MicroBatcher
-from repro.engine.cache import AnalysisCache
-from repro.engine.engine import Engine, default_workers
-from repro.engine.persist import PersistentAnalysisCache
-from repro.isa.block import BasicBlock
 from repro.obs import log as obslog
 from repro.obs import metrics
 from repro.obs.trace import TRACE_HEADER, new_trace_id
@@ -67,9 +64,9 @@ from repro.robustness.faults import active_plan, maybe_inject
 from repro.service import serialize
 from repro.service.serialize import API_VERSION, ERROR_CODES, \
     RequestError, json_bytes
-from repro.service.shard import ShardEngine
+from repro.service.shard import LocalShard, Payload, PredictionFailed, \
+    Result, ShardEngine, UndecodableBlock
 from repro.uarch import ALL_UARCHS, uarch_by_name
-from repro.uops.database import UopsDatabase
 
 #: Baselines offered by ``POST /compare`` when the request does not name
 #: predictors explicitly.  The learned analogs (Ithemal, DiffTune,
@@ -104,11 +101,6 @@ DEFAULT_RESPONSE_CACHE = 65536
 
 #: Upper bounds on request framing (cheap DoS hygiene).
 MAX_HEADER_COUNT = 100
-
-#: The prediction core every serving runtime pins (advertised in
-#: ``/v1/health``): shards and in-process engines both run the object
-#: core, whose analysis-cache counters are the ``/stats`` surface.
-SERVING_CORE = "object"
 
 #: The served route tables, both namespaces.  ``scripts/check_docs.py``
 #: checks every entry against ``docs/SERVICE.md`` in both directions.
@@ -175,9 +167,10 @@ def bulk_result_bytes(uarch: str, mode_value: str,
 class _ResponseCache:
     """LRU of serialized per-block prediction payloads.
 
-    Keyed by ``(mode, block signature, counterfactuals)`` — the full
-    identity of one prediction payload within a µarch runtime.  Thread
-    safe (the warm-up path stores from outside the event loop).
+    Keyed by ``(mode, block bytes, counterfactuals)`` — the full
+    identity of one prediction payload within a µarch runtime, known
+    without decoding the block.  Thread safe (the warm-up path stores
+    from outside the event loop).
     """
 
     def __init__(self, max_entries: int):
@@ -223,63 +216,18 @@ class _ResponseCache:
             }
 
 
-class _PersistentSyncEngine:
-    """MicroBatcher backend that syncs the persistent cache per batch.
-
-    The sharded path flushes each shard's persistent analysis cache
-    after every worker batch, so its ``/stats`` persistent counters are
-    always current.  The in-process ``--no-shard`` engine used to sync
-    only at ``close()`` and ``warm()``, leaving ``/stats`` reading
-    stale (usually all-zero) persistent counters for the whole run —
-    this wrapper gives the no-shard path the same per-batch flush.
-    """
-
-    def __init__(self, engine: Engine):
-        self.engine = engine
-
-    def predict_many(self, blocks, mode, traces=None):
-        try:
-            return self.engine.predict_many(blocks, mode, traces=traces)
-        finally:
-            self.engine.cache.sync_persistent()
-
-
 class _UarchRuntime:
     """Everything the service holds per loaded µarch."""
 
-    def __init__(self, abbrev: str, *, n_workers: Optional[int],
-                 max_batch: int, max_wait_ms: float,
+    def __init__(self, abbrev: str, *, max_batch: int, max_wait_ms: float,
                  max_queue: Optional[int],
                  breaker_failures: int, breaker_cooldown: float,
-                 use_shard: bool, cache_dir: Optional[str],
-                 response_cache_entries: int):
-        cfg = uarch_by_name(abbrev)
-        self.cfg = cfg
-        self.shard: Optional[ShardEngine] = None
-        self.engine: Optional[Engine] = None
-        if use_shard:
-            persist_path = None
-            if cache_dir is not None:
-                os.makedirs(cache_dir, exist_ok=True)
-                persist_path = os.path.join(cache_dir, f"{abbrev}.facc")
-            self.shard = ShardEngine(abbrev, persist_path=persist_path,
-                                     n_workers=n_workers)
-            backend = self.shard
-        else:
-            persistent = (PersistentAnalysisCache.for_uarch(cache_dir,
-                                                            abbrev)
-                          if cache_dir is not None else None)
-            db = UopsDatabase(cfg)
-            cache = AnalysisCache(db, persistent=persistent)
-            # The serving tier pins the object core: its analysis-cache
-            # counters and the persistent layer are the /stats surface,
-            # and both are populated by the object path.  Predictions
-            # are byte-identical either way (see docs/ARCHITECTURE.md).
-            self.engine = Engine(cfg, db=db, cache=cache,
-                                 n_workers=n_workers, core="object")
-            backend = (self.engine if persistent is None
-                       else _PersistentSyncEngine(self.engine))
-        self.batcher = MicroBatcher(backend, max_batch=max_batch,
+                 use_shard: bool, response_cache_entries: int):
+        self.cfg = uarch_by_name(abbrev)
+        self.shard = ShardEngine(abbrev) if use_shard else None
+        self.backend = (self.shard if self.shard is not None
+                        else LocalShard(abbrev))
+        self.batcher = MicroBatcher(self.backend, max_batch=max_batch,
                                     max_wait_ms=max_wait_ms,
                                     max_queue=max_queue,
                                     obs_label=abbrev)
@@ -333,45 +281,26 @@ class _UarchRuntime:
 
     def telemetry(self) -> Dict[str, object]:
         """This µarch's ``/stats`` entry (may block on a shard query)."""
-        if self.shard is not None:
-            payload = self.shard.stats()
-            cache = payload.get("cache", {})
-            engine = payload.get("engine", {"tasks_retried": 0,
-                                            "tasks_failed": 0,
-                                            "pool_respawns": 0})
-            shard_info: Optional[Dict[str, object]] = {
-                "respawns": self.shard.respawns,
-                "alive": self.shard.alive,
-                "fallback_used": self.shard.fallback_used,
-            }
-        else:
-            assert self.engine is not None
-            cache = self.engine.cache.stats()
-            engine = {"tasks_retried": self.engine.tasks_retried,
-                      "tasks_failed": self.engine.tasks_failed,
-                      "pool_respawns": self.engine.pool_respawns}
-            shard_info = None
         entry: Dict[str, object] = {
-            "cache": cache,
+            "cache": self.backend.stats(),
             "batcher": self.batcher.stats(),
-            "engine": engine,
             "response_cache": self.response_cache.stats(),
             "breakers": {name: breaker.stats()
                          for name, breaker
                          in sorted(self.breakers.items())},
         }
-        if shard_info is not None:
-            entry["shard"] = shard_info
+        if self.shard is not None:
+            entry["shard"] = {
+                "respawns": self.shard.respawns,
+                "alive": self.shard.alive,
+                "fallback_used": self.shard.fallback_used,
+            }
         return entry
 
     def close(self) -> None:
         self.batcher.close()
         if self.shard is not None:
             self.shard.close()
-        if self.engine is not None:
-            if self.engine.cache.persistent is not None:
-                self.engine.cache.sync_persistent()
-            self.engine.close()
 
 
 class PredictionService:
@@ -383,12 +312,6 @@ class PredictionService:
             (read it back from :attr:`port` — this is how the tests and
             the bench load generator run hermetically).  The socket is
             bound at construction, so address errors fail fast.
-        n_workers: engine worker processes per µarch *inside* its shard
-            (as in :class:`~repro.engine.engine.Engine`: ``0`` one per
-            CPU; ``None`` resolves to the process-wide default —
-            ``set_default_workers`` / ``REPRO_ENGINE_WORKERS`` — at
-            construction time, so the banner and ``/stats`` report
-            what the engines actually use).
         max_batch / max_wait_ms: the micro-batching window (see
             :class:`~repro.engine.batching.MicroBatcher`).
         max_bulk: maximum blocks accepted in one bulk request.
@@ -399,10 +322,9 @@ class PredictionService:
             the ``/compare`` baselines (consecutive failures to open;
             seconds until a half-open probe).
         shard: run each µarch in its own worker process (the default).
-            ``False`` keeps the engine in-process (PR-2 behaviour),
-            useful for debugging or fork-hostile environments.
-        cache_dir: directory for the persistent analysis caches (one
-            ``<uarch>.facc`` file each); ``None`` disables persistence.
+            ``False`` predicts in-process on the µarch's dispatcher
+            thread (:class:`~repro.service.shard.LocalShard`), useful
+            for debugging or fork-hostile environments.
         response_cache_blocks: per-µarch response-fragment cache
             capacity (``0`` disables it).
 
@@ -414,7 +336,7 @@ class PredictionService:
     """
 
     def __init__(self, uarch: str = "SKL", *, host: str = "127.0.0.1",
-                 port: int = 0, n_workers: Optional[int] = None,
+                 port: int = 0,
                  max_batch: int = DEFAULT_MAX_BATCH,
                  max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
                  max_bulk: int = DEFAULT_MAX_BULK,
@@ -422,7 +344,6 @@ class PredictionService:
                  breaker_failures: int = DEFAULT_BREAKER_FAILURES,
                  breaker_cooldown: float = DEFAULT_BREAKER_COOLDOWN,
                  shard: bool = True,
-                 cache_dir: Optional[str] = None,
                  response_cache_blocks: int = DEFAULT_RESPONSE_CACHE):
         # Fail fast at construction: these would otherwise surface as a
         # 500 on the first request (runtimes are built lazily).
@@ -442,8 +363,6 @@ class PredictionService:
         if response_cache_blocks < 0:
             raise ValueError("response_cache_blocks must be >= 0")
         self.default_uarch = uarch
-        self.n_workers = (n_workers if n_workers is not None
-                          else default_workers())
         self.max_batch = max_batch
         self.max_wait_ms = max_wait_ms
         self.max_bulk = max_bulk
@@ -451,7 +370,6 @@ class PredictionService:
         self.breaker_failures = breaker_failures
         self.breaker_cooldown = breaker_cooldown
         self.use_shard = shard
-        self.cache_dir = cache_dir
         self.response_cache_blocks = response_cache_blocks
         self.known_uarchs: List[str] = [cfg.abbrev for cfg in ALL_UARCHS]
         self._runtimes: Dict[str, _UarchRuntime] = {}
@@ -573,55 +491,43 @@ class PredictionService:
             runtime = self._runtimes.get(uarch)
             if runtime is None:
                 runtime = _UarchRuntime(
-                    uarch, n_workers=self.n_workers,
-                    max_batch=self.max_batch,
+                    uarch, max_batch=self.max_batch,
                     max_wait_ms=self.max_wait_ms,
                     max_queue=self.max_queue,
                     breaker_failures=self.breaker_failures,
                     breaker_cooldown=self.breaker_cooldown,
                     use_shard=self.use_shard,
-                    cache_dir=self.cache_dir,
                     response_cache_entries=self.response_cache_blocks)
                 self._runtimes[uarch] = runtime
             return runtime
 
     def warm(self, hexes: Sequence[str], *, uarch: Optional[str] = None,
              modes: Sequence[str] = ("loop", "unrolled")) -> int:
-        """Pre-analyze *hexes*, filling every cache layer.
+        """Pre-answer *hexes*, filling the shard core and the
+        response-fragment cache.
 
         Runs the corpus through the batcher (no HTTP involved, so this
-        works before :meth:`start`), which populates the shard's
-        analysis cache, its persistent on-disk layer, and the front
-        end's response-fragment cache.  Returns the number of
-        (block, mode) pairs warmed.  Undecodable hex raises
-        ``ValueError`` — a warm corpus is operator input, not client
-        traffic.
+        works before :meth:`start`).  Returns the number of (block,
+        mode) pairs warmed.  A block that is not hex, does not decode,
+        or cannot be predicted raises ``ValueError`` — a warm corpus is
+        operator input, not client traffic.
         """
         uarch = uarch or self.default_uarch
-        blocks: List[BasicBlock] = []
-        seen = set()
-        for value in hexes:
-            raw = bytes.fromhex(value)
-            if raw and raw not in seen:
-                seen.add(raw)
-                blocks.append(BasicBlock.from_bytes(raw))
-        if not blocks:
+        raws = list(dict.fromkeys(
+            raw for raw in map(bytes.fromhex, hexes) if raw))
+        if not raws:
             return 0
         runtime = self.runtime(uarch)
-        count = 0
         for mode_value in modes:
             mode = ThroughputMode(mode_value)
-            predictions = runtime.batcher.predict_many(blocks, mode)
-            for block, prediction in zip(blocks, predictions):
-                blob = json_bytes(serialize.prediction_to_dict(
-                    prediction, block, uarch))
-                runtime.response_cache.put((mode.value, block.raw, False),
-                                           blob)
-            count += len(blocks)
-        if (runtime.engine is not None
-                and runtime.engine.cache.persistent is not None):
-            runtime.engine.cache.sync_persistent()
-        return count
+            results = runtime.batcher.predict_many(
+                [(raw, False) for raw in raws], mode)
+            for raw, result in zip(raws, results):
+                if not isinstance(result, bytes):
+                    raise ValueError(f"block {raw.hex()}: {result}")
+                runtime.response_cache.put((mode.value, raw, False),
+                                           result)
+        return len(raws) * len(modes)
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -687,15 +593,12 @@ class PredictionService:
                     (labels, runtime.shard.respawns))
                 per_uarch["facile_shard_fallback_total"].append(
                     (labels, runtime.shard.fallback_used))
-                cache = runtime.shard.stats().get("cache", {})
-            else:
-                assert runtime.engine is not None
-                cache = runtime.engine.cache.stats()
+            cache = runtime.backend.stats()
             if cache:
                 per_uarch["facile_analysis_cache_hits_total"].append(
-                    (labels, cache.get("hits", 0)))
+                    (labels, cache["raw_hits"] + cache["sig_hits"]))
                 per_uarch["facile_analysis_cache_misses_total"].append(
-                    (labels, cache.get("misses", 0)))
+                    (labels, cache["misses"]))
         for name, samples in per_uarch.items():
             if samples:
                 families.append(metrics.Family(
@@ -734,7 +637,7 @@ class PredictionService:
             "status": "degraded" if reasons else "ok",
             "service": "facile",
             "api_versions": [API_VERSION],
-            "core": SERVING_CORE,
+            "core": "columnar",
             "default_uarch": self.default_uarch,
             "uarchs_available": self.known_uarchs,
             "uarchs_loaded": sorted(runtimes),
@@ -755,20 +658,17 @@ class PredictionService:
         # Aggregated incident counters, surfaced at the top level so a
         # monitor never has to dig through nested shard payloads.
         counters = {"shard_respawns": 0, "shard_fallback": 0,
-                    "breaker_opens": 0, "engine_tasks_retried": 0}
+                    "breaker_opens": 0}
         for entry in uarchs.values():
             shard_info = entry.get("shard")
             if shard_info is not None:
                 counters["shard_respawns"] += shard_info["respawns"]
                 counters["shard_fallback"] += shard_info["fallback_used"]
-            counters["engine_tasks_retried"] += \
-                entry["engine"].get("tasks_retried", 0)
             for breaker_stats in entry["breakers"].values():
                 counters["breaker_opens"] += \
                     breaker_stats.get("times_opened", 0)
         return {
             "uptime_sec": round(time.monotonic() - self._started_at, 3),
-            "workers": self.n_workers,
             "requests": {
                 "total": sum(by_endpoint.values()),
                 "by_endpoint": by_endpoint,
@@ -809,15 +709,34 @@ class PredictionService:
             "(raise 'timeout_ms' or retry when the server is "
             "less loaded)", status=504)
 
+    async def _predict_misses(self, runtime: _UarchRuntime,
+                              payloads: List[Payload],
+                              mode: ThroughputMode,
+                              deadline: Optional[float],
+                              wait: Optional[float],
+                              trace: Optional[str]) -> List[Result]:
+        """The shard's results for *payloads*; sheds as 429/504."""
+        try:
+            futures = runtime.batcher.submit_many(
+                payloads, mode, deadline=deadline, trace=trace)
+            wrapped = [asyncio.wrap_future(future) for future in futures]
+            for task in wrapped:
+                task.add_done_callback(_consume_exception)
+            return await asyncio.wait_for(asyncio.gather(*wrapped),
+                                          timeout=wait)
+        except (QueueFullError, DeadlineExceeded,
+                asyncio.TimeoutError) as exc:
+            raise self._shed_to_http(exc)
+
     async def _core_predict(self, body: Dict, trace: Optional[str] = None):
         uarch = serialize.parse_uarch(body, self.default_uarch,
                                       self.known_uarchs)
         mode = serialize.parse_mode(body)
-        block = serialize.parse_block(body)
+        raw = serialize.parse_block_bytes(body)
         counterfactuals = serialize.parse_counterfactuals(body)
         deadline, wait = self._parse_deadline(body)
         runtime = self.runtime(uarch)
-        key = (mode.value, block.raw, counterfactuals)
+        key = (mode.value, raw, counterfactuals)
         meta = {"uarch": uarch, "mode": mode.value}
         # An already-expired deadline skips the fragment cache so the
         # batcher can drop-and-count it (the documented 504 contract).
@@ -826,17 +745,9 @@ class PredictionService:
             if blob is not None:
                 meta["cache"] = "hit"
                 return blob, meta
-        try:
-            future = runtime.batcher.submit(block, mode,
-                                            deadline=deadline,
-                                            trace=trace)
-            prediction = await asyncio.wait_for(
-                asyncio.wrap_future(future), timeout=wait)
-        except (QueueFullError, DeadlineExceeded,
-                asyncio.TimeoutError) as exc:
-            raise self._shed_to_http(exc)
-        blob = json_bytes(serialize.prediction_to_dict(
-            prediction, block, uarch, counterfactuals=counterfactuals))
+        results = await self._predict_misses(
+            runtime, [(raw, counterfactuals)], mode, deadline, wait, trace)
+        blob, = _fragments(results, ["request"])
         runtime.response_cache.put(key, blob)
         meta["cache"] = "miss"
         return blob, meta
@@ -845,42 +756,31 @@ class PredictionService:
         uarch = serialize.parse_uarch(body, self.default_uarch,
                                       self.known_uarchs)
         mode = serialize.parse_mode(body)
-        blocks = serialize.parse_blocks(body, max_blocks=self.max_bulk)
+        raws = serialize.parse_blocks(body, max_blocks=self.max_bulk)
         counterfactuals = serialize.parse_counterfactuals(body)
         deadline, wait = self._parse_deadline(body)
         runtime = self.runtime(uarch)
-        fragments: List[Optional[bytes]] = [None] * len(blocks)
+        fragments: List[Optional[bytes]] = [None] * len(raws)
         if deadline is None or deadline > time.monotonic():
-            for index, block in enumerate(blocks):
+            for index, raw in enumerate(raws):
                 fragments[index] = runtime.response_cache.get(
-                    (mode.value, block.raw, counterfactuals))
+                    (mode.value, raw, counterfactuals))
         missing = [index for index, fragment in enumerate(fragments)
                    if fragment is None]
         if missing:
-            try:
-                futures = runtime.batcher.submit_many(
-                    [blocks[index] for index in missing], mode,
-                    deadline=deadline, trace=trace)
-                wrapped = [asyncio.wrap_future(future)
-                           for future in futures]
-                for task in wrapped:
-                    task.add_done_callback(_consume_exception)
-                predictions = await asyncio.wait_for(
-                    asyncio.gather(*wrapped), timeout=wait)
-            except (QueueFullError, DeadlineExceeded,
-                    asyncio.TimeoutError) as exc:
-                raise self._shed_to_http(exc)
-            for index, prediction in zip(missing, predictions):
-                blob = json_bytes(serialize.prediction_to_dict(
-                    prediction, blocks[index], uarch,
-                    counterfactuals=counterfactuals))
+            results = await self._predict_misses(
+                runtime, [(raws[index], counterfactuals)
+                          for index in missing],
+                mode, deadline, wait, trace)
+            blobs = _fragments(results, [f"blocks[{index}]"
+                                         for index in missing])
+            for index, blob in zip(missing, blobs):
                 runtime.response_cache.put(
-                    (mode.value, blocks[index].raw, counterfactuals),
-                    blob)
+                    (mode.value, raws[index], counterfactuals), blob)
                 fragments[index] = blob
         result = bulk_result_bytes(uarch, mode.value, fragments)
         return result, {"uarch": uarch, "mode": mode.value,
-                        "cache": {"hits": len(blocks) - len(missing),
+                        "cache": {"hits": len(raws) - len(missing),
                                   "misses": len(missing)}}
 
     async def _core_compare(self, body: Dict, trace: Optional[str] = None):
@@ -1161,6 +1061,24 @@ class PredictionService:
         await self._write_response(writer, 200, response, headers=extra,
                                    close=not keep)
         return keep
+
+
+def _fragments(results: Sequence[Result],
+               fields: Sequence[str]) -> List[bytes]:
+    """The serialized fragments of a request's shard *results*.
+
+    A request with failed blocks answers for the first failure in the
+    documented error order: the lowest-index undecodable block (400,
+    ``undecodable <field>: <decoder message>``), then a prediction
+    failure (raised as is; the handler turns it into the opaque 500).
+    """
+    for field, result in zip(fields, results):
+        if isinstance(result, UndecodableBlock):
+            raise RequestError(f"undecodable {field}: {result}")
+    for result in results:
+        if isinstance(result, PredictionFailed):
+            raise result
+    return list(results)  # type: ignore[arg-type]
 
 
 def _consume_exception(task: "asyncio.Future") -> None:

@@ -1,32 +1,40 @@
 """Per-µarch worker-process shards behind the async service front-end.
 
-The asyncio front-end (:mod:`repro.service.server`) never runs
-prediction work on its event loop.  Each µarch gets a
-:class:`ShardEngine`: a proxy whose dedicated **worker process** owns
-that µarch's :class:`~repro.uops.database.UopsDatabase`,
-:class:`~repro.engine.cache.AnalysisCache` (optionally layered over a
-:class:`~repro.engine.persist.PersistentAnalysisCache`) and
-:class:`~repro.engine.engine.Engine`.  Requests cross the process
-boundary as compact picklable payloads — ``(request id, mode value,
-[raw block bytes, ...])`` — and answers come back as pickled
-:class:`~repro.core.model.Prediction` lists matched to their request by
-id, the same payload discipline the parallel engine uses for its pool
-tasks.
+The asyncio front-end (:mod:`repro.service.server`) never decodes or
+predicts on its event loop.  It turns each block into bytes, answers
+what it can from its response-fragment cache, and sends only the
+misses to the µarch's :class:`ShardEngine`: a proxy whose dedicated
+**worker process** owns one :class:`~repro.engine.columnar.ColumnarCore`.
+A miss crosses the process boundary as a :data:`Payload` — ``(raw
+block bytes, counterfactuals)`` — and comes back as one
+:data:`Result` per payload (:func:`predict_fragments`):
 
-Determinism: the worker computes predictions with a serial
-``Engine.predict_many`` pass over the exact request order (or its own
-pool when ``n_workers`` asks for one — itself deterministic by index
-merge), so serving through a shard is byte-identical to serving
-in-process.
+* the serialized fragment, the exact ``json_bytes(prediction_to_dict(
+  ...))`` bytes the object model's prediction serializes to, built in
+  the worker from the raw bytes and the compiled entry's instruction
+  count;
+* an :class:`UndecodableBlock` carrying the text
+  ``BasicBlock.from_bytes`` raises for those bytes (the front end
+  answers it with the per-index ``undecodable`` 400);
+* a :class:`PredictionFailed` for a block that decodes but cannot be
+  predicted on the µarch (the front end answers that request's opaque
+  500, and only that request's).
+
+Decoding happens once, in the worker, and only for forms the core has
+not seen: on a warm form trie the core walks the bytes straight to a
+compiled entry.  The same function serves every backend — the worker,
+the in-process fallback, and ``facile serve --no-shard``
+(:class:`LocalShard`) — so all three answer the same bytes.
 
 Fault tolerance mirrors the engine pool: a dead or hung worker fails
 the in-flight request with :class:`ShardCrash`, the proxy respawns the
 process and retries once with faults cleared, and if the respawn also
-fails it falls back to a lazily-built in-process engine — same bytes,
-reduced isolation.  The deterministic fault harness reaches the shard
-via the :data:`SHARD_SITE` site (``REPRO_FAULTS`` clauses matching
-``service.shard``); drawn faults are shipped to the worker and acted
-out there (``worker_kill`` exits the worker, ``slow`` sleeps).
+fails it falls back to a lazily-built in-process :class:`LocalShard`
+— same bytes, reduced isolation.  The deterministic fault harness
+reaches the shard via the :data:`SHARD_SITE` site (``REPRO_FAULTS``
+clauses matching ``service.shard``); drawn faults are shipped to the
+worker and acted out there (``worker_kill`` exits the worker, ``slow``
+sleeps).
 """
 
 from __future__ import annotations
@@ -35,20 +43,17 @@ import itertools
 import queue
 import threading
 from concurrent.futures import Future, TimeoutError as FutureTimeout
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.components import ThroughputMode
-from repro.core.model import Prediction
-from repro.engine.cache import AnalysisCache
-from repro.engine.engine import DEFAULT_FAULTED_TIMEOUT, Engine, \
-    _pool_context
-from repro.engine.persist import PersistentAnalysisCache
+from repro.engine.columnar import ColumnarCore
+from repro.engine.engine import DEFAULT_FAULTED_TIMEOUT, _pool_context
 from repro.isa.block import BasicBlock
 from repro.obs import log
 from repro.obs.trace import Span
 from repro.robustness.faults import act_in_worker, active_plan
+from repro.service.serialize import json_bytes, prediction_payload
 from repro.uarch import uarch_by_name
-from repro.uops.database import UopsDatabase
 
 #: The shard's fault-injection site (``REPRO_FAULTS`` pattern target).
 SHARD_SITE = "service.shard"
@@ -62,66 +67,116 @@ class ShardCrash(RuntimeError):
     """The shard worker died (or hung) before answering a request."""
 
 
-def _shard_main(abbrev: str, request_queue, result_queue,
-                persist_path: Optional[str],
-                n_workers: Optional[int]) -> None:
+class UndecodableBlock(Exception):
+    """A block's bytes do not decode; the message is the text
+    ``BasicBlock.from_bytes`` raises for them."""
+
+
+class PredictionFailed(Exception):
+    """A block decodes but cannot be predicted on the shard's µarch."""
+
+
+#: One miss sent to a shard: (raw block bytes, counterfactuals).
+Payload = Tuple[bytes, bool]
+#: A shard's answer to one payload: a serialized fragment or a failure.
+Result = Union[bytes, UndecodableBlock, PredictionFailed]
+
+
+def predict_fragments(core: ColumnarCore, payloads: Sequence[Payload],
+                      mode: ThroughputMode) -> List[Result]:
+    """Predict and serialize each payload on *core*; never raises.
+
+    A block whose prediction fails is decoded once more to tell the two
+    failures apart: bytes that ``BasicBlock.from_bytes`` rejects are
+    :class:`UndecodableBlock` with its message, anything else is
+    :class:`PredictionFailed`.  Only failures pay that decode.
+    """
+    uarch = core.cfg.abbrev
+    results: List[Result] = []
+    for raw, counterfactuals in payloads:
+        try:
+            prediction, n_instructions = core.predict_raw_counted(raw,
+                                                                  mode)
+            results.append(json_bytes(prediction_payload(
+                prediction, raw, n_instructions, uarch,
+                counterfactuals=counterfactuals)))
+        except Exception as exc:  # noqa: BLE001 - classified per block
+            try:
+                BasicBlock.from_bytes(raw)
+            except Exception as decode_error:  # noqa: BLE001
+                results.append(UndecodableBlock(str(decode_error)))
+            else:
+                results.append(PredictionFailed(
+                    f"{type(exc).__name__}: {exc}"))
+    return results
+
+
+class LocalShard:
+    """The shard's work in the calling process: one µarch's
+    :class:`ColumnarCore` behind :func:`predict_fragments`.
+
+    What the worker process runs, and also the ``--no-shard`` backend
+    and :class:`ShardEngine`'s fallback.
+    """
+
+    def __init__(self, uarch: str):
+        self.core = ColumnarCore(uarch_by_name(uarch))
+        self._logger = log.get_logger("shard")
+
+    def predict_many(self, payloads: Sequence[Payload],
+                     mode: ThroughputMode,
+                     traces: Optional[Sequence[Optional[str]]] = None
+                     ) -> List[Result]:
+        """:func:`predict_fragments`; at debug level, first logs one
+        ``predict_batch`` line with the requests' trace ids, so a
+        client-visible ``meta.trace`` can be joined with the process
+        that computed it."""
+        if traces is not None and log.level_enabled("debug"):
+            self._logger.debug(
+                "predict_batch", uarch=self.core.cfg.abbrev,
+                mode=mode.value, n_blocks=len(payloads),
+                traces=sorted({t for t in traces if t}))
+        return predict_fragments(self.core, payloads, mode)
+
+    def stats(self) -> Dict[str, int]:
+        """The core's lookup counters and table sizes."""
+        return self.core.stats()
+
+
+def _shard_main(abbrev: str, request_queue, result_queue) -> None:
     """Worker-process entry point: serve requests until shutdown.
 
-    Messages in: ``("predict", id, mode, raws, faults, traces)``,
+    Messages in: ``("predict", id, mode, payloads, faults, traces)``,
     ``("stats", id)``, ``("shutdown",)``.  Messages out:
-    ``(id, ok, payload)`` where a failed request carries
-    ``"ExcType: message"`` text instead of its payload (full tracebacks
-    stay in the worker; the front-end answers an opaque 500).
-
-    At debug level the worker logs one structured line per predict
-    batch carrying the originating trace ids, so a client-visible
-    ``meta.trace`` can be joined with the worker that computed it.
+    ``(id, ok, answer)``: a predict answer is the list of per-payload
+    :data:`Result` values; a request that failed as a whole (an
+    injected fault) carries ``"ExcType: message"`` text instead (full
+    tracebacks stay in the worker; the front-end answers an opaque
+    500).
     """
     # Re-read REPRO_LOG: on fork the child inherits module state parsed
     # before the parent's environment may have changed.
     log.refresh_level()
-    logger = log.get_logger("shard")
-    cfg = uarch_by_name(abbrev)
-    db = UopsDatabase(cfg)
-    persistent = (PersistentAnalysisCache(persist_path, abbrev)
-                  if persist_path else None)
-    cache = AnalysisCache(db, persistent=persistent)
-    # Shards pin the object core: the analysis cache + persistent layer
-    # they report through /stats are populated by the object path.
-    engine = Engine(cfg, db=db, cache=cache, n_workers=n_workers,
-                    core="object")
+    shard = LocalShard(abbrev)
     while True:
         message = request_queue.get()
         if message[0] == "shutdown":
             break
         if message[0] == "stats":
-            result_queue.put((message[1], True, {
-                "cache": cache.stats(),
-                "engine": {"tasks_retried": engine.tasks_retried,
-                           "tasks_failed": engine.tasks_failed,
-                           "pool_respawns": engine.pool_respawns},
-            }))
+            result_queue.put((message[1], True, shard.stats()))
             continue
-        _, request_id, mode_value, raws, faults, traces = message
+        _, request_id, mode_value, payloads, faults, traces = message
         try:
-            if log.level_enabled("debug"):
-                logger.debug(
-                    "predict_batch", uarch=abbrev, mode=mode_value,
-                    n_blocks=len(raws),
-                    traces=sorted({t for t in traces if t}))
             for fault in faults:
                 if fault is not None:
                     act_in_worker(fault, SHARD_SITE)
-            blocks = [BasicBlock.from_bytes(raw) for raw in raws]
-            predictions = engine.predict_many(
-                blocks, ThroughputMode(mode_value))
-            if persistent is not None:
-                cache.sync_persistent()
-            result_queue.put((request_id, True, predictions))
+            results = shard.predict_many(payloads,
+                                         ThroughputMode(mode_value),
+                                         traces)
+            result_queue.put((request_id, True, results))
         except Exception as exc:  # noqa: BLE001 - shipped as text
             result_queue.put((request_id, False,
                               f"{type(exc).__name__}: {exc}"))
-    engine.close()
 
 
 class _WorkerHandle:
@@ -131,16 +186,14 @@ class _WorkerHandle:
     generation from ever touching the futures of its successor.
     """
 
-    def __init__(self, context, abbrev: str, persist_path: Optional[str],
-                 n_workers: Optional[int]):
+    def __init__(self, context, abbrev: str):
         self.request_queue = context.Queue()
         self.result_queue = context.Queue()
         self.pending: Dict[int, Future] = {}
         self.lock = threading.Lock()
         self.process = context.Process(
             target=_shard_main,
-            args=(abbrev, self.request_queue, self.result_queue,
-                  persist_path, n_workers),
+            args=(abbrev, self.request_queue, self.result_queue),
             name=f"facile-shard-{abbrev}", daemon=True)
         self.process.start()
         self.reader = threading.Thread(
@@ -217,7 +270,7 @@ class _WorkerHandle:
 
 
 class ShardEngine:
-    """Engine-shaped proxy for one µarch's worker-process shard.
+    """Proxy for one µarch's worker-process shard.
 
     Exposes the one method the :class:`~repro.engine.batching.
     MicroBatcher` dispatcher needs — :meth:`predict_many` — plus
@@ -226,83 +279,79 @@ class ShardEngine:
     thread; ``stats`` may be called concurrently from others.
     """
 
-    def __init__(self, uarch: str, *, persist_path: Optional[str] = None,
-                 n_workers: Optional[int] = None):
+    def __init__(self, uarch: str):
         self.uarch = uarch
-        self.persist_path = persist_path
-        self.n_workers = n_workers
         self.respawns = 0
         self.fallback_used = 0
         self._request_ids = itertools.count()
         self._context = _pool_context()
         self._closed = False
-        self._fallback: Optional[Engine] = None
-        self._worker = _WorkerHandle(self._context, uarch, persist_path,
-                                     n_workers)
+        self._fallback: Optional[LocalShard] = None
+        self._worker = _WorkerHandle(self._context, uarch)
 
     # -- prediction ----------------------------------------------------
 
-    def predict_many(self, blocks: Sequence[BasicBlock],
+    def predict_many(self, payloads: Sequence[Payload],
                      mode: ThroughputMode,
                      traces: Optional[Sequence[Optional[str]]] = None
-                     ) -> List[Prediction]:
-        """Predict *blocks* in the worker; byte-identical to in-process.
+                     ) -> List[Result]:
+        """:func:`predict_fragments` in the worker, one result per payload.
 
         A crashed/hung worker triggers one respawn-and-retry (faults
         cleared, mirroring the engine pool's recovery contract); if the
         fresh worker fails too, the request is served by an in-process
-        fallback engine.
+        fallback :class:`LocalShard`.
 
-        *traces* (optional, one per block) are per-request trace ids
-        shipped in the IPC payload so the worker can log them; they
-        never affect prediction bytes.
+        *traces* (optional, one per payload) are per-request trace ids
+        shipped in the IPC message so the worker can log them; they
+        never affect the answers.
         """
         if self._closed:
             raise RuntimeError("ShardEngine is closed")
         plan = active_plan()
         faults: List[Optional[Tuple[str, float]]] = []
-        for _ in blocks:
+        for _ in payloads:
             fault = plan.check(SHARD_SITE) if plan is not None else None
             faults.append(fault.encode() if fault is not None else None)
         try:
-            return self._roundtrip(blocks, mode, faults, traces)
+            return self._roundtrip(payloads, mode, faults, traces)
         except ShardCrash:
             self._respawn()
             try:
-                return self._roundtrip(blocks, mode,
-                                       [None] * len(blocks), traces)
+                return self._roundtrip(payloads, mode,
+                                       [None] * len(payloads), traces)
             except ShardCrash:
-                self.fallback_used += len(blocks)
-                return self._fallback_engine().predict_many(blocks, mode)
+                self.fallback_used += len(payloads)
+                if self._fallback is None:
+                    self._fallback = LocalShard(self.uarch)
+                return self._fallback.predict_many(payloads, mode, traces)
 
-    def _roundtrip(self, blocks: Sequence[BasicBlock],
+    def _roundtrip(self, payloads: Sequence[Payload],
                    mode: ThroughputMode,
                    faults: List[Optional[Tuple[str, float]]],
                    traces: Optional[Sequence[Optional[str]]] = None
-                   ) -> List[Prediction]:
+                   ) -> List[Result]:
         worker = self._worker
         request_id = next(self._request_ids)
         future = worker.register(request_id)
         try:
             worker.request_queue.put(
-                ("predict", request_id, mode.value,
-                 [block.raw for block in blocks], faults,
+                ("predict", request_id, mode.value, list(payloads),
+                 faults,
                  list(traces) if traces is not None
-                 else [None] * len(blocks)))
+                 else [None] * len(payloads)))
         except (ValueError, OSError) as exc:
             worker.forget(request_id)
             raise ShardCrash(f"shard request queue unusable: {exc}")
         try:
             with Span("shard.roundtrip"):
                 return future.result(
-                    timeout=self._timeout_for(len(blocks)))
+                    timeout=self._timeout_for(len(payloads)))
         except FutureTimeout:
             worker.forget(request_id)
             raise ShardCrash("shard worker did not answer in time")
-        except ShardCrash:
-            raise
-        # RuntimeError from the worker (a real prediction failure, not
-        # a crash) propagates to the batcher unchanged.
+        # RuntimeError from the worker (a request that failed as a
+        # whole, not a crash) propagates to the batcher unchanged.
 
     def _timeout_for(self, n_blocks: int) -> Optional[float]:
         """Bounded waits only under an active fault plan.
@@ -325,14 +374,7 @@ class ShardEngine:
         if old.process.is_alive():
             old.process.terminate()
             old.process.join(timeout=SHUTDOWN_GRACE)
-        self._worker = _WorkerHandle(self._context, self.uarch,
-                                     self.persist_path, self.n_workers)
-
-    def _fallback_engine(self) -> Engine:
-        if self._fallback is None:
-            cfg = uarch_by_name(self.uarch)
-            self._fallback = Engine(cfg, core="object")
-        return self._fallback
+        self._worker = _WorkerHandle(self._context, self.uarch)
 
     # -- reporting -----------------------------------------------------
 
@@ -340,8 +382,8 @@ class ShardEngine:
     def alive(self) -> bool:
         return (not self._closed) and self._worker.process.is_alive()
 
-    def stats(self, timeout: float = 5.0) -> Dict[str, object]:
-        """The worker's cache/engine counters (``{}`` if unreachable)."""
+    def stats(self, timeout: float = 5.0) -> Dict[str, int]:
+        """The worker core's counters (``{}`` if unreachable)."""
         if self._closed:
             return {}
         worker = self._worker
@@ -369,6 +411,4 @@ class ShardEngine:
             return
         self._closed = True
         self._worker.stop()
-        if self._fallback is not None:
-            self._fallback.close()
-            self._fallback = None
+        self._fallback = None

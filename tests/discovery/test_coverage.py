@@ -6,6 +6,7 @@ from repro.discovery.abstraction import AbstractBlock
 from repro.discovery.coverage import (
     corpus_feature_index,
     family_coverage,
+    load_corpus,
     load_coverage_corpus,
 )
 from repro.isa.assembler import assemble
@@ -21,6 +22,22 @@ def db():
 
 def _abstract(asm, db):
     return AbstractBlock.from_instructions(assemble(asm), db)
+
+
+class TestLoadCorpus:
+    def test_hex_lines_comments_and_csv(self, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(
+            "# warm-up corpus\n"
+            "4801d8\n"
+            "\n"
+            "4889d8,1.25\n"
+            "  90  \n")
+        assert load_corpus(str(corpus)) == ["4801d8", "4889d8", "90"]
+
+    def test_missing_file_raises(self, tmp_path):
+        with pytest.raises(OSError):
+            load_corpus(str(tmp_path / "nope.txt"))
 
 
 class TestLoadCoverageCorpus:

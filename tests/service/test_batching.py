@@ -133,7 +133,7 @@ class TestCacheLRUBound:
         stats = cache.stats()
         assert stats == {
             "hits": 1, "misses": 1, "evictions": 0, "size": 1,
-            "max_blocks": 8, "hit_rate": 0.5, "disk_hits": 0,
+            "max_blocks": 8, "hit_rate": 0.5,
         }
 
     def test_rejects_nonpositive_capacity(self):

@@ -23,7 +23,7 @@ from repro.obs import metrics
 from repro.obs.metrics import METRIC_CATALOG, parse_exposition
 from repro.obs.trace import TRACE_HEADER
 from repro.service import PredictionService, ServiceClient
-from repro.service.server import METRICS_CONTENT_TYPE, SERVING_CORE
+from repro.service.server import METRICS_CONTENT_TYPE
 
 HEX = "4801d8"
 
@@ -168,14 +168,13 @@ class TestStatsAndHealth:
         _, _, raw = fetch(service, "/v1/stats")
         counters = json.loads(raw)["result"]["counters"]
         assert set(counters) == {"shard_respawns", "shard_fallback",
-                                 "breaker_opens",
-                                 "engine_tasks_retried"}
+                                 "breaker_opens"}
         assert all(isinstance(v, int) and v >= 0
                    for v in counters.values())
 
     def test_health_advertises_the_serving_core(self, service):
         _, _, raw = fetch(service, "/v1/health")
-        assert json.loads(raw)["result"]["core"] == SERVING_CORE
+        assert json.loads(raw)["result"]["core"] == "columnar"
 
 
 class TestSlowRequestLog:

@@ -1,38 +1,45 @@
 """The per-µarch worker-process shard (``service/shard.py``).
 
-The acceptance properties: predictions served through a shard process
-are byte-identical to an in-process engine pass, an injected worker
-kill is recovered by respawn-and-retry without changing a byte, and a
-shard backed by a persistent cache file starts warm after a service
-restart.
+The acceptance properties: a shard answers each ``(raw bytes,
+counterfactuals)`` payload with exactly the bytes of serializing the
+object model's prediction, tells undecodable blocks from unpredictable
+ones per payload, and keeps those bytes when an injected worker kill
+forces a respawn or a failed respawn forces the in-process fallback.
 """
 
 import pytest
 
 from repro.bhive.suite import BenchmarkSuite
 from repro.core.components import ThroughputMode
-from repro.engine.engine import Engine
+from repro.core.model import Facile
+from repro.isa.block import BasicBlock
 from repro.robustness import FaultPlan, injected
-from repro.service import PredictionService, ServiceClient, ShardEngine
+from repro.service import ShardEngine
 from repro.service.serialize import json_bytes, prediction_to_dict
+from repro.service.shard import LocalShard, PredictionFailed, \
+    ShardCrash, UndecodableBlock
 from repro.uarch import uarch_by_name
 
 SKL = uarch_by_name("SKL")
 
-
-@pytest.fixture(scope="module")
-def suite():
-    return BenchmarkSuite.generate(6, seed=17)
+#: ``vpaddd ymm0, ymm1, ymm2``: decodes everywhere, but IVB has no AVX2.
+AVX2_HEX = "c5f5fec2"
 
 
 @pytest.fixture(scope="module")
-def blocks(suite):
-    return [b.block_l for b in suite]
+def blocks():
+    return [b.block_l for b in BenchmarkSuite.generate(6, seed=17)]
 
 
-def wire_bytes(predictions, blocks):
-    return [json_bytes(prediction_to_dict(p, b, "SKL"))
-            for p, b in zip(predictions, blocks)]
+def golden(blocks, mode, counterfactuals=False, uarch="SKL"):
+    model = Facile(uarch_by_name(uarch))
+    return [json_bytes(prediction_to_dict(
+        model.predict(block, mode), block, uarch,
+        counterfactuals=counterfactuals)) for block in blocks]
+
+
+def payloads(blocks, counterfactuals=False):
+    return [(block.raw, counterfactuals) for block in blocks]
 
 
 class TestByteIdentity:
@@ -40,36 +47,74 @@ class TestByteIdentity:
                                       ThroughputMode.LOOP),
                              ids=lambda m: m.value)
     def test_shard_matches_in_process_engine(self, blocks, mode):
-        golden = Engine(SKL).predict_many(blocks, mode)
         with ShardEngine("SKL") as shard:
-            served = shard.predict_many(blocks, mode)
-        assert wire_bytes(served, blocks) == wire_bytes(golden, blocks)
+            served = shard.predict_many(payloads(blocks), mode)
+            with_cf = shard.predict_many(payloads(blocks, True), mode)
+        assert served == golden(blocks, mode)
+        assert with_cf == golden(blocks, mode, counterfactuals=True)
+        assert LocalShard("SKL").predict_many(payloads(blocks), mode) \
+            == served
 
     def test_stats_round_trip(self, blocks):
         with ShardEngine("SKL") as shard:
-            shard.predict_many(blocks, ThroughputMode.LOOP)
+            shard.predict_many(payloads(blocks), ThroughputMode.LOOP)
+            shard.predict_many(payloads(blocks), ThroughputMode.LOOP)
             stats = shard.stats()
-            assert stats["cache"]["misses"] >= len(blocks)
-            assert set(stats["engine"]) == {"tasks_retried",
-                                            "tasks_failed",
-                                            "pool_respawns"}
+            assert set(stats) == {"entries", "templates", "raw_hits",
+                                  "sig_hits", "misses"}
+            assert stats["raw_hits"] >= len(blocks)
+            assert stats["entries"] >= 1
             assert shard.alive
+
+
+class TestPerPayloadResults:
+    def test_failures_are_classified_per_payload(self):
+        good = BasicBlock.from_bytes(bytes.fromhex("4801d8"))
+        with pytest.raises(Exception) as decode_error:
+            BasicBlock.from_bytes(bytes.fromhex("48"))
+        with ShardEngine("IVB") as shard:
+            results = shard.predict_many(
+                [(bytes.fromhex("48"), False),
+                 (bytes.fromhex(AVX2_HEX), False),
+                 (good.raw, False)], ThroughputMode.LOOP)
+        undecodable, unpredictable, fragment = results
+        assert isinstance(undecodable, UndecodableBlock)
+        assert str(undecodable) == str(decode_error.value)
+        assert isinstance(unpredictable, PredictionFailed)
+        assert fragment == golden([good], ThroughputMode.LOOP,
+                                  uarch="IVB")[0]
 
 
 class TestCrashRecovery:
     def test_worker_kill_respawns_and_matches(self, blocks):
-        golden = Engine(SKL).predict_many(blocks, ThroughputMode.LOOP)
+        expected = golden(blocks, ThroughputMode.LOOP)
         plan = FaultPlan.from_spec("seed=0; worker_kill@service.shard:0")
         with ShardEngine("SKL") as shard:
             with injected(plan):
-                served = shard.predict_many(blocks, ThroughputMode.LOOP)
+                served = shard.predict_many(payloads(blocks),
+                                            ThroughputMode.LOOP)
             assert shard.respawns == 1
             assert shard.fallback_used == 0
             assert shard.alive
             # The respawned worker keeps serving.
-            again = shard.predict_many(blocks, ThroughputMode.LOOP)
-        assert wire_bytes(served, blocks) == wire_bytes(golden, blocks)
-        assert wire_bytes(again, blocks) == wire_bytes(golden, blocks)
+            again = shard.predict_many(payloads(blocks),
+                                       ThroughputMode.LOOP)
+        assert served == expected
+        assert again == expected
+
+    def test_failed_respawn_falls_back_in_process(self, blocks,
+                                                  monkeypatch):
+        expected = golden(blocks, ThroughputMode.UNROLLED)
+        with ShardEngine("SKL") as shard:
+            def crash(*args, **kwargs):
+                raise ShardCrash("simulated")
+
+            monkeypatch.setattr(shard, "_roundtrip", crash)
+            served = shard.predict_many(payloads(blocks),
+                                        ThroughputMode.UNROLLED)
+            assert shard.respawns == 1
+            assert shard.fallback_used == len(blocks)
+        assert served == expected
 
 
 class TestLifecycle:
@@ -82,31 +127,3 @@ class TestLifecycle:
         assert shard.stats() == {}
         with pytest.raises(RuntimeError):
             shard.predict_many([], ThroughputMode.LOOP)
-
-
-class TestPersistentWarmThroughService:
-    def test_restart_with_same_cache_dir_starts_warm(self, suite,
-                                                     tmp_path):
-        hexes = [b.block_l.raw.hex() for b in suite]
-        cache_dir = str(tmp_path / "cache")
-
-        with PredictionService(uarch="SKL", port=0,
-                               cache_dir=cache_dir) as service:
-            client = ServiceClient(port=service.port)
-            first = client.predict_bulk(hexes, mode="loop")
-            stats = client.stats()
-            persistent = stats["uarchs"]["SKL"]["cache"]["persistent"]
-            assert persistent["loaded"] == 0  # cold start
-            assert persistent["stores"] == len(hexes)
-
-        # Restart over the same directory: the shard loads the file and
-        # serves the working set from disk instead of re-deriving it.
-        with PredictionService(uarch="SKL", port=0,
-                               cache_dir=cache_dir) as service:
-            client = ServiceClient(port=service.port)
-            second = client.predict_bulk(hexes, mode="loop")
-            stats = client.stats()
-            cache = stats["uarchs"]["SKL"]["cache"]
-            assert cache["persistent"]["loaded"] == len(hexes)
-            assert cache["disk_hits"] == len(hexes)
-        assert second.data == first.data
