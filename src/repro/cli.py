@@ -10,7 +10,7 @@ Examples::
     facile table4 --size 50
     facile figure6 --size 100
     facile bench --size 80 --check
-    facile serve --port 8000 --uarch SKL --workers 2
+    facile serve --port 8000 --uarch SKL --warm corpus.txt
     facile hunt --seed 0 --budget 200 --generalize --out hunt.json
     facile generalize hunt.json --known prior.json --out families.json
 
@@ -602,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=DEFAULT_MAX_WAIT_MS,
                        help="micro-batch window timeout (milliseconds)")
     serve.add_argument("--warm", default=None, metavar="CORPUS",
-                       help="pre-analyze a block corpus (hex per line, "
+                       help="pre-answer a block corpus (hex per line, "
                             "or a BHive-style CSV) before serving")
     serve.add_argument("--no-shard", action="store_true",
                        help="predict in-process instead of in "

@@ -656,7 +656,10 @@ class ColumnarCore:
     def _predict_entry(self, entry: _BlockEntry,
                        mode: ThroughputMode) -> Prediction:
         if entry.error is not None:
-            raise entry.error
+            # The cached exception is raised again on every call; start
+            # each raise from an empty traceback so the frames of earlier
+            # callers do not pile up on it.
+            raise entry.error.with_traceback(None)
         proto = entry.protos.get(mode)
         if proto is None:
             proto = self._make_proto(entry, mode)

@@ -101,6 +101,9 @@ def predict_fragments(core: ColumnarCore, payloads: Sequence[Payload],
                 prediction, raw, n_instructions, uarch,
                 counterfactuals=counterfactuals)))
         except Exception as exc:  # noqa: BLE001 - classified per block
+            # The core keeps this exception for the block's next lookup;
+            # drop its traceback so it does not pin this window's frames.
+            exc.__traceback__ = None
             try:
                 BasicBlock.from_bytes(raw)
             except Exception as decode_error:  # noqa: BLE001

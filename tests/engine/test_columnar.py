@@ -1,5 +1,7 @@
 """Columnar-core unit behavior: routing, memoization, bounds, errors."""
 
+import traceback
+
 import pytest
 
 from repro.bhive.suite import BenchmarkSuite
@@ -206,6 +208,21 @@ class TestErrors:
                     core.predict(block, ThroughputMode.LOOP)
         else:
             pytest.skip("popcnt supported on SNB in this table")
+
+    @pytest.mark.parametrize("uarch, raw", (
+        ("SKL", b""),
+        ("IVB", bytes.fromhex("c5f5fec2")),  # vpaddd ymm: no AVX2 on IVB
+    ), ids=("empty", "avx2-on-ivb"))
+    def test_replayed_error_traceback_does_not_grow(self, uarch, raw):
+        core = ColumnarCore(uarch_by_name(uarch))
+        depths = []
+        for _ in range(50):
+            with pytest.raises(Exception) as error:
+                core.predict_raw(raw, ThroughputMode.LOOP)
+            depths.append(len(traceback.extract_tb(
+                error.value.__traceback__)))
+        assert core.stats()["raw_hits"] == 49  # the same cached error
+        assert depths == [depths[0]] * 50
 
 
 def test_engine_batch_path_matches_reference_on_record(blocks):

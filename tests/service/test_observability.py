@@ -15,6 +15,7 @@ Three wire-level contracts:
 
 import json
 import urllib.request
+from collections import Counter
 
 import pytest
 
@@ -175,6 +176,37 @@ class TestStatsAndHealth:
     def test_health_advertises_the_serving_core(self, service):
         _, _, raw = fetch(service, "/v1/health")
         assert json.loads(raw)["result"]["core"] == "columnar"
+
+    def test_no_shard_stats_and_metrics_read_the_local_core(self):
+        # Every running service adds its samples to the process-wide
+        # scrape; this one's are what disappears when it closes.
+        with PredictionService(uarch="SKL", port=0, shard=False,
+                               max_wait_ms=0.0) as service:
+            fetch(service, "/v1/predict", {"hex": HEX, "mode": "loop"})
+            # A different fragment key: the core answers from its
+            # raw-bytes table.
+            fetch(service, "/v1/predict", {"hex": HEX, "mode": "loop",
+                                           "counterfactuals": True})
+            _, _, stats = fetch(service, "/v1/stats")
+            _, _, scrape = fetch(service, "/v1/metrics")
+        cache = json.loads(stats)["result"]["uarchs"]["SKL"]["cache"]
+        assert set(cache) == {"entries", "templates", "raw_hits",
+                              "sig_hits", "misses"}
+        assert cache["misses"] >= 1 and cache["raw_hits"] >= 1
+        running = parse_exposition(scrape.decode())
+        closed = parse_exposition(metrics.exposition())
+
+        def own(name):
+            def skl(families):
+                return Counter(value for _, labels, value
+                               in families.get(name, {"samples": ()})
+                               ["samples"] if labels.get("uarch") == "SKL")
+            return list((skl(running) - skl(closed)).elements())
+
+        assert own("facile_analysis_cache_hits_total") == \
+            [cache["raw_hits"] + cache["sig_hits"]]
+        assert own("facile_analysis_cache_misses_total") == \
+            [cache["misses"]]
 
 
 class TestSlowRequestLog:

@@ -7,6 +7,8 @@ ones per payload, and keeps those bytes when an injected worker kill
 forces a respawn or a failed respawn forces the in-process fallback.
 """
 
+import weakref
+
 import pytest
 
 from repro.bhive.suite import BenchmarkSuite
@@ -83,6 +85,20 @@ class TestPerPayloadResults:
         assert isinstance(unpredictable, PredictionFailed)
         assert fragment == golden([good], ThroughputMode.LOOP,
                                   uarch="IVB")[0]
+
+    def test_replayed_failures_do_not_pin_windows(self):
+        # The core caches both failures and raises them again on every
+        # lookup; each served window must still be freed once dropped.
+        shard = LocalShard("IVB")
+        window = [(b"", False), (bytes.fromhex(AVX2_HEX), False),
+                  (bytes.fromhex("4801d8"), False)] * 64
+        for _ in range(20):
+            results = shard.predict_many(window, ThroughputMode.LOOP)
+            assert isinstance(results[0], UndecodableBlock)
+            assert isinstance(results[1], PredictionFailed)
+            freed = [weakref.ref(results[0]), weakref.ref(results[1])]
+            del results
+            assert [ref() for ref in freed] == [None, None]
 
 
 class TestCrashRecovery:
