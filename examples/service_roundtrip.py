@@ -3,8 +3,8 @@
 Starts ``facile serve`` on an ephemeral port, then talks to it with the
 bundled :class:`~repro.service.client.ServiceClient` — the same calls
 shown as ``curl`` invocations in ``docs/SERVICE.md``.  The client
-negotiates the API generation once (``GET /v1/health``) and returns
-typed results; the dict-style access of earlier releases still works.
+returns typed results; the dict-style access of earlier releases still
+works.
 
 Run:
     python examples/service_roundtrip.py
@@ -16,8 +16,7 @@ from repro.service import PredictionService, ServiceClient
 def main() -> None:
     with PredictionService(uarch="SKL", port=0) as service, \
             ServiceClient(port=service.port) as client:
-        print(f"service up on http://{service.host}:{service.port} "
-              f"(api: {client.api_version})\n")
+        print(f"service up on http://{service.host}:{service.port}\n")
 
         health = client.health()
         print(f"health: {health['status']}  "

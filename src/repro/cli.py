@@ -288,8 +288,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 max_wait_ms=args.max_wait_ms,
                 endpoints="GET /v1/health /v1/stats /v1/metrics; "
                           "POST /v1/predict /v1/predict/bulk "
-                          "/v1/compare (+ deprecated unversioned "
-                          "routes; docs/SERVICE.md)")
+                          "/v1/compare (docs/SERVICE.md)")
     try:
         service.serve_forever()
     except KeyboardInterrupt:

@@ -20,7 +20,7 @@ Spec syntax (clauses separated by ``;``, see ``docs/ROBUSTNESS.md``)::
 
     REPRO_FAULTS="seed=7; worker_kill@engine.task:2,5; \
                   predictor_error@predictor.*:p=0.1; \
-                  timeout@engine.task:3; slow@service.predict:0:ms=20"
+                  timeout@engine.task:3; slow@service./v1/predict:0:ms=20"
 
 Fault kinds:
 

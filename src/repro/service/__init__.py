@@ -12,10 +12,10 @@ has four modules:
   the per-µarch worker-process proxy that decodes, predicts, and
   serializes the blocks the front-end could not answer from its cache;
 * :mod:`repro.service.server` — :class:`PredictionService`, an
-  ``asyncio`` front-end that parses HTTP on an event loop, answers hot
-  blocks from a response-fragment cache, and feeds everything else
-  through a per-µarch :class:`~repro.engine.batching.MicroBatcher`
-  into that µarch's shard;
+  ``asyncio`` front-end that serves the ``/v1/`` routes: it parses HTTP
+  on an event loop, answers hot blocks from a response-fragment cache,
+  and feeds everything else through a per-µarch
+  :class:`~repro.engine.batching.MicroBatcher` into that µarch's shard;
 * :mod:`repro.service.client` — :class:`ServiceClient`, the small
   ``urllib``-based client used by the tests, the examples, and the
   service load generator in :mod:`repro.engine.bench`, with typed

@@ -5,13 +5,11 @@ Used by the test suite, the examples, and the service load generator in
 ``facile serve`` from any other HTTP client (see ``docs/SERVICE.md``
 for the raw schemas and equivalent ``curl`` invocations).
 
-:class:`ServiceClient` speaks the versioned ``/v1/`` API by default: it
-negotiates once per client (``GET /v1/health``; a 404 means a pre-v1
-server) and transparently unwraps the v1 response envelope, so the same
-client code works against both API generations.  Prediction endpoints
-return typed :class:`PredictionResult` / :class:`BulkResult` views that
-still behave like the underlying payload dicts (``result["cycles"]``
-and ``result.cycles`` are the same value).
+:class:`ServiceClient` calls the ``/v1/`` routes, one request per call,
+and unwraps the response envelope.  Prediction endpoints return typed
+:class:`PredictionResult` / :class:`BulkResult` views that still behave
+like the underlying payload dicts (``result["cycles"]`` and
+``result.cycles`` are the same value).
 """
 
 from __future__ import annotations
@@ -29,13 +27,14 @@ class ServiceError(Exception):
 
     Attributes:
         status: the HTTP status code.
-        message: the error message from the JSON error body (either
-            API generation).
-        code: the machine-readable v1 error code (``"overloaded"``,
-            ``"deadline_exceeded"``, ...); ``None`` on legacy
-            responses, which carry only the message.
+        message: the error message from the JSON error body (the raw
+            body, or the HTTP reason, when it is not an error
+            envelope).
+        code: the machine-readable error code (``"overloaded"``,
+            ``"deadline_exceeded"``, ...); ``None`` when the body is
+            not an error envelope.
         retry_after: seconds to wait before retrying, if the response
-            said (the ``Retry-After`` header, with the v1 body's
+            said (the ``Retry-After`` header, with the body's
             ``retry_after_ms`` as fallback).
     """
 
@@ -67,20 +66,17 @@ class _PayloadView:
     (``result["cycles"]``, ``"exact" in result``) keeps working.
     """
 
-    def __init__(self, data: Dict, meta: Optional[Dict] = None):
+    def __init__(self, data: Dict, meta: Dict):
         self.data = data
-        #: The v1 ``meta`` object (``None`` when talking to a legacy
-        #: server, which has no envelope).
+        #: The response envelope's ``meta`` object.
         self.meta = meta
 
     @property
-    def trace(self) -> Optional[str]:
-        """The request's trace id from the v1 ``meta`` (``None`` on
-        legacy servers) — quote it when reporting a service problem so
-        the operator can find the matching structured log lines."""
-        if self.meta is None:
-            return None
-        return self.meta.get("trace")
+    def trace(self) -> str:
+        """The request's trace id from ``meta`` — quote it when
+        reporting a service problem so the operator can find the
+        matching structured log lines."""
+        return self.meta["trace"]
 
     def __getitem__(self, key: str):
         return self.data[key]
@@ -205,9 +201,6 @@ class ServiceClient:
             a 400 does not become a 400 three times slower.
         retry_policy: override the backoff schedule (mostly for tests,
             which inject a recording ``sleep`` and a seeded ``rng``).
-        api: ``"auto"`` (negotiate once via ``GET /v1/health``; the
-            default), ``"v1"`` (require the versioned API), or
-            ``"legacy"`` (stick to the unversioned routes).
 
     Blocks are passed as hex strings (``"4801d8"``), or as dicts in the
     wire format (``{"asm": "add rax, rbx"}``).  Usable as a context
@@ -220,18 +213,13 @@ class ServiceClient:
 
     def __init__(self, *, host: str = "127.0.0.1", port: int = 8000,
                  timeout: float = 60.0, max_attempts: int = 3,
-                 retry_policy: Optional[RetryPolicy] = None,
-                 api: str = "auto"):
+                 retry_policy: Optional[RetryPolicy] = None):
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if api not in ("auto", "v1", "legacy"):
-            raise ValueError("api must be 'auto', 'v1', or 'legacy'")
         self.base_url = f"http://{host}:{port}"
         self.timeout = timeout
         self.retry_policy = (retry_policy if retry_policy is not None
                              else RetryPolicy(max_attempts=max_attempts))
-        self._api = api
-        self._api_version: Optional[str] = None
 
     # -- lifecycle -----------------------------------------------------
 
@@ -245,61 +233,19 @@ class ServiceClient:
     def __exit__(self, exc_type, exc_value, trace) -> None:
         self.close()
 
-    # -- API negotiation -----------------------------------------------
-
-    @property
-    def api_version(self) -> str:
-        """``"v1"`` or ``"legacy"`` — negotiated once, then cached.
-
-        Negotiation is one ``GET /v1/health``: a 404 identifies a
-        pre-v1 server.  Forced versions (``api="v1"``/``"legacy"``)
-        skip the probe.
-        """
-        if self._api_version is None:
-            if self._api != "auto":
-                self._api_version = self._api
-            else:
-                try:
-                    self.request("/v1/health")
-                    self._api_version = "v1"
-                except ServiceError as exc:
-                    if exc.status != 404:
-                        raise
-                    self._api_version = "legacy"
-        return self._api_version
-
-    def _path(self, endpoint: str) -> str:
-        if self.api_version == "v1":
-            return "/v1" + endpoint
-        return endpoint
-
-    def _call(self, endpoint: str, body: Optional[Dict] = None):
-        """One endpoint round trip; ``(result, meta)`` either way.
-
-        On a v1 server this unwraps the response envelope; on a legacy
-        server the payload *is* the result and there is no meta.
-        """
-        payload = self.request(self._path(endpoint), body)
-        if self.api_version == "v1":
-            return payload["result"], payload["meta"]
-        return payload, None
-
     # -- transport -----------------------------------------------------
 
     @staticmethod
     def _parse_error(status: int, raw: bytes, headers,
                      reason: str) -> ServiceError:
-        """Build a :class:`ServiceError` from either error schema."""
+        """Build a :class:`ServiceError` from an error envelope."""
         code = None
         retry_after_ms = None
         try:
             error = json.loads(raw.decode("utf-8"))["error"]
-            if isinstance(error, dict):  # v1 structured error
-                message = error["message"]
-                code = error.get("code")
-                retry_after_ms = error.get("retry_after_ms")
-            else:  # legacy: the error field is the message
-                message = error
+            message = error["message"]
+            code = error.get("code")
+            retry_after_ms = error.get("retry_after_ms")
         except Exception:
             message = raw.decode("utf-8", "replace") or reason
         try:
@@ -359,17 +305,20 @@ class ServiceClient:
         """Like :meth:`request_raw`, but decodes the JSON payload."""
         return json.loads(self.request_raw(path, body).decode("utf-8"))
 
+    def _call(self, path: str, body: Optional[Dict] = None):
+        """One endpoint round trip: the envelope's ``(result, meta)``."""
+        envelope = self.request(path, body)
+        return envelope["result"], envelope["meta"]
+
     # -- endpoints -----------------------------------------------------
 
     def health(self) -> Dict:
         """``GET /v1/health`` (the health payload, unwrapped)."""
-        result, _ = self._call("/health")
-        return result
+        return self._call("/v1/health")[0]
 
     def stats(self) -> Dict:
         """``GET /v1/stats`` (the stats payload, unwrapped)."""
-        result, _ = self._call("/stats")
-        return result
+        return self._call("/v1/stats")[0]
 
     def predict(self, block: BlockLike, *, mode: str = "loop",
                 uarch: Optional[str] = None,
@@ -383,7 +332,7 @@ class ServiceClient:
             body["counterfactuals"] = True
         if timeout_ms is not None:
             body["timeout_ms"] = timeout_ms
-        result, meta = self._call("/predict", body)
+        result, meta = self._call("/v1/predict", body)
         return PredictionResult(result, meta)
 
     def predict_bulk(self, blocks: Sequence[BlockLike], *,
@@ -397,7 +346,7 @@ class ServiceClient:
             body["uarch"] = uarch
         if timeout_ms is not None:
             body["timeout_ms"] = timeout_ms
-        result, meta = self._call("/predict/bulk", body)
+        result, meta = self._call("/v1/predict/bulk", body)
         return BulkResult(result, meta)
 
     def compare(self, block: BlockLike, *, mode: str = "loop",
@@ -409,5 +358,4 @@ class ServiceClient:
             body["uarch"] = uarch
         if predictors is not None:
             body["predictors"] = predictors
-        result, _ = self._call("/compare", body)
-        return result
+        return self._call("/v1/compare", body)[0]

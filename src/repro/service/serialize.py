@@ -214,7 +214,7 @@ def parse_timeout_ms(body: Dict) -> Optional[float]:
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise RequestError("'timeout_ms' must be a number")
-    if value <= 0:
+    if not value > 0:  # NaN too: it would never expire
         raise RequestError("'timeout_ms' must be > 0")
     return float(min(value, MAX_TIMEOUT_MS))
 

@@ -12,23 +12,20 @@ micro-batched onto one pass per window over that process's
 :class:`~repro.engine.columnar.ColumnarCore`, which decodes, predicts
 and serializes them.
 
-Two route namespaces serve the same engine:
+The routes:
 
 ==========================  ==============================================
 ``GET  /v1/health``         liveness + loaded µarchs
 ``GET  /v1/stats``          request counters, cache/batcher/shard stats
+``GET  /v1/metrics``        Prometheus text exposition of the registry
 ``POST /v1/predict``        one block → full interpretable prediction
 ``POST /v1/predict/bulk``   many blocks → predictions, order-preserving
 ``POST /v1/compare``        one block → Facile vs. the baseline analogs
 ==========================  ==============================================
 
-``/v1/`` responses share one envelope — ``{"error": null, "meta":
-{...}, "result": ...}`` — and one structured error schema
-(:data:`repro.service.serialize.ERROR_CODES`).  The unversioned legacy
-routes (``/predict``, ``/predict/bulk``, ``/compare``, ``/health``,
-``/stats``) are a thin adapter over the same core handlers: they keep
-serving the PR-2 payloads byte-for-byte and mark themselves with a
-``Deprecation: true`` response header.
+Every JSON response, error or not, is one envelope — ``{"error": ...,
+"meta": {...}, "result": ...}`` — with one structured error schema
+(:data:`repro.service.serialize.ERROR_CODES`).
 
 Responses are canonical JSON (:func:`repro.service.serialize.json_bytes`)
 — equal payloads are equal bytes, so neither micro-batching nor the
@@ -62,14 +59,13 @@ from repro.robustness.errors import CircuitOpenError, DeadlineExceeded, \
     QueueFullError
 from repro.robustness.faults import active_plan, maybe_inject
 from repro.service import serialize
-from repro.service.serialize import API_VERSION, ERROR_CODES, \
-    RequestError, json_bytes
+from repro.service.serialize import API_VERSION, RequestError, json_bytes
 from repro.service.shard import LocalShard, Payload, PredictionFailed, \
     Result, ShardEngine, UndecodableBlock
 from repro.uarch import ALL_UARCHS, uarch_by_name
 
-#: Baselines offered by ``POST /compare`` when the request does not name
-#: predictors explicitly.  The learned analogs (Ithemal, DiffTune,
+#: Baselines offered by ``POST /v1/compare`` when the request does not
+#: name predictors explicitly.  The learned analogs (Ithemal, DiffTune,
 #: learning-bl) are opt-in: their first use trains a model, which would
 #: turn an unsuspecting comparison request into a multi-second call.
 DEFAULT_COMPARE_PREDICTORS = (
@@ -87,7 +83,7 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 #: instead of queueing without bound.
 DEFAULT_MAX_QUEUE = 4096
 
-#: Default circuit-breaker tuning for the ``/compare`` baselines:
+#: Default circuit-breaker tuning for the ``/v1/compare`` baselines:
 #: skip a predictor after this many consecutive failures, probe it
 #: again after the cooldown.
 DEFAULT_BREAKER_FAILURES = 3
@@ -99,18 +95,15 @@ DEFAULT_BREAKER_COOLDOWN = 30.0
 #: on the event loop without a shard round trip.
 DEFAULT_RESPONSE_CACHE = 65536
 
-#: Upper bounds on request framing (cheap DoS hygiene).
+#: Upper bound on header lines per request, repeated names included
+#: (cheap DoS hygiene).
 MAX_HEADER_COUNT = 100
 
-#: The served route tables, both namespaces.  ``scripts/check_docs.py``
-#: checks every entry against ``docs/SERVICE.md`` in both directions.
-#: ``/v1/metrics`` is v1-only by design — a new machine-scraped
-#: surface gets no deprecated legacy twin.
+#: The served route tables.  ``scripts/check_docs.py`` checks every
+#: entry against ``docs/SERVICE.md`` in both directions.
 ROUTES: Dict[str, Tuple[str, ...]] = {
-    "GET": ("/health", "/stats", "/v1/health", "/v1/metrics",
-            "/v1/stats"),
-    "POST": ("/compare", "/predict", "/predict/bulk", "/v1/compare",
-             "/v1/predict", "/v1/predict/bulk"),
+    "GET": ("/v1/health", "/v1/metrics", "/v1/stats"),
+    "POST": ("/v1/compare", "/v1/predict", "/v1/predict/bulk"),
 }
 
 #: Content type of the ``/v1/metrics`` exposition body.
@@ -135,13 +128,13 @@ _SLOW_REQUESTS = metrics.counter(
     metrics.METRIC_CATALOG["facile_slow_requests_total"][1],
     labels=("route",))
 
-#: Unversioned path → core handler method name.
+#: Route → core handler method name (every route but ``/v1/metrics``).
 _CORE_HANDLERS = {
-    "/health": "_core_health",
-    "/stats": "_core_stats",
-    "/predict": "_core_predict",
-    "/predict/bulk": "_core_bulk",
-    "/compare": "_core_compare",
+    "/v1/health": "_core_health",
+    "/v1/stats": "_core_stats",
+    "/v1/predict": "_core_predict",
+    "/v1/predict/bulk": "_core_bulk",
+    "/v1/compare": "_core_compare",
 }
 
 _REASONS = http.client.responses
@@ -280,7 +273,7 @@ class _UarchRuntime:
                       if breaker.state == OPEN)
 
     def telemetry(self) -> Dict[str, object]:
-        """This µarch's ``/stats`` entry (may block on a shard query)."""
+        """This µarch's ``/v1/stats`` entry (may block on a shard query)."""
         entry: Dict[str, object] = {
             "cache": self.backend.stats(),
             "batcher": self.batcher.stats(),
@@ -319,7 +312,7 @@ class PredictionService:
             service sheds with ``429`` + ``Retry-After``.  ``None``
             disables shedding (unbounded queue).
         breaker_failures / breaker_cooldown: circuit-breaker tuning for
-            the ``/compare`` baselines (consecutive failures to open;
+            the ``/v1/compare`` baselines (consecutive failures to open;
             seconds until a half-open probe).
         shard: run each µarch in its own worker process (the default).
             ``False`` predicts in-process on the µarch's dispatcher
@@ -850,15 +843,6 @@ class PredictionService:
 
     # -- the HTTP front-end --------------------------------------------
 
-    def _error_bytes(self, versioned: bool, status: int, message: str,
-                     retry_after_ms: Optional[float] = None,
-                     trace: Optional[str] = None) -> bytes:
-        if versioned:
-            return serialize.error_envelope_bytes(
-                status, message, retry_after_ms=retry_after_ms,
-                trace=trace)
-        return json_bytes({"error": message})
-
     async def _write_response(self, writer: asyncio.StreamWriter,
                               status: int, body: bytes, *,
                               headers: Optional[Dict[str, str]] = None,
@@ -903,29 +887,8 @@ class PredictionService:
         request body may not have been drained, so the connection is
         not safe to reuse.
         """
-        try:
-            line = await reader.readline()
-        except (ValueError, asyncio.LimitOverrunError):
-            await self._write_response(
-                writer, 400,
-                self._error_bytes(False, 400, "request line too long"),
-                close=True)
-            return False
-        if not line or not line.strip():
-            return False  # clean EOF between requests
-        try:
-            method, target, _version = \
-                line.decode("latin-1").strip().split(None, 2)
-        except ValueError:
-            await self._write_response(
-                writer, 400,
-                self._error_bytes(False, 400, "malformed request line"),
-                close=True)
-            return False
-        path = target.split("?", 1)[0].rstrip("/") or "/"
-        versioned = path == "/v1" or path.startswith("/v1/")
-        # One trace id per request: echoed in the v1 meta, every error
-        # envelope, and the X-Trace-Id header on all routes.
+        # One trace id per request: echoed in the envelope's meta, error
+        # or not, and in the X-Trace-Id header.
         trace_id = new_trace_id()
 
         async def bail(status: int, message: str,
@@ -936,13 +899,27 @@ class PredictionService:
                 merged.update(headers)
             await self._write_response(
                 writer, status,
-                self._error_bytes(versioned, status, message,
-                                  retry_after_ms=retry_after_ms,
-                                  trace=trace_id),
+                serialize.error_envelope_bytes(
+                    status, message, retry_after_ms=retry_after_ms,
+                    trace=trace_id),
                 headers=merged, close=True)
             return False
 
+        try:
+            line = await reader.readline()
+        except (ValueError, asyncio.LimitOverrunError):
+            return await bail(400, "request line too long")
+        if not line or not line.strip():
+            return False  # clean EOF between requests
+        try:
+            method, target, _version = \
+                line.decode("latin-1").strip().split(None, 2)
+        except ValueError:
+            return await bail(400, "malformed request line")
+        path = target.split("?", 1)[0].rstrip("/") or "/"
+
         headers: Dict[str, str] = {}
+        count = 0
         while True:
             try:
                 header_line = await reader.readline()
@@ -950,12 +927,13 @@ class PredictionService:
                 return await bail(400, "header line too long")
             if header_line in (b"\r\n", b"\n", b""):
                 break
+            count += 1
+            if count > MAX_HEADER_COUNT:
+                return await bail(400, "too many headers")
             name, sep, value = \
                 header_line.decode("latin-1").partition(":")
             if sep:
                 headers[name.strip().lower()] = value.strip()
-            if len(headers) > MAX_HEADER_COUNT:
-                return await bail(400, "too many headers")
 
         # Route before reading the body: unknown endpoints answer
         # without draining client bytes (hence the forced close).
@@ -1010,10 +988,9 @@ class PredictionService:
                 content_type=METRICS_CONTENT_TYPE, close=not keep)
             return keep
 
-        base_path = path[3:] if versioned else path
         started = time.perf_counter()
         try:
-            # Service-level fault site: a ``slow@service./predict``
+            # Service-level fault site: a ``slow@service./v1/predict``
             # clause delays the request here, before any work happens
             # (an ``injected`` kind surfaces as a clean 500 below).
             # Faults sleep, so they run off the event loop.
@@ -1022,7 +999,7 @@ class PredictionService:
                     None, maybe_inject, "service." + path)
             body = (serialize.parse_json_body(raw_body)
                     if method == "POST" else None)
-            core = getattr(self, _CORE_HANDLERS[base_path])
+            core = getattr(self, _CORE_HANDLERS[path])
             result_bytes, meta_info = await core(body, trace_id)
         except RequestError as exc:
             self._count(path, error=True)
@@ -1044,22 +1021,14 @@ class PredictionService:
             return await bail(500, "internal error")
         self._count(path)
         self._observe_request(path, started, trace_id)
-        extra = {TRACE_HEADER: trace_id}
-        if versioned:
-            timing_ms = round((time.perf_counter() - started) * 1000.0,
-                              3)
-            meta = serialize.meta_dict(
-                uarch=meta_info.get("uarch"),
-                mode=meta_info.get("mode"),
-                cache=meta_info.get("cache"),
-                timing_ms=timing_ms,
-                trace=trace_id)
-            response = serialize.envelope_bytes(result_bytes, meta)
-        else:
-            response = result_bytes
-            extra["Deprecation"] = "true"
-        await self._write_response(writer, 200, response, headers=extra,
-                                   close=not keep)
+        meta = serialize.meta_dict(
+            uarch=meta_info.get("uarch"), mode=meta_info.get("mode"),
+            cache=meta_info.get("cache"),
+            timing_ms=round((time.perf_counter() - started) * 1000.0, 3),
+            trace=trace_id)
+        await self._write_response(
+            writer, 200, serialize.envelope_bytes(result_bytes, meta),
+            headers={TRACE_HEADER: trace_id}, close=not keep)
         return keep
 
 

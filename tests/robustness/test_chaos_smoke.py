@@ -29,6 +29,14 @@ DEFAULT_PLAN = ("seed=0; worker_kill@engine.task:1; "
 pytestmark = pytest.mark.chaos
 
 
+def result_bytes(envelope: bytes) -> bytes:
+    """The ``result`` bytes of a success envelope (its ``meta`` differs
+    from run to run by ``timing_ms`` and ``trace``)."""
+    head, sep, result = envelope.partition(b',"result":')
+    assert head.startswith(b'{"error":null,') and sep
+    return result[:-1]
+
+
 def chaos_plan():
     """The ambient plan (CI chaos job) or the default one, rewound."""
     plan = active_plan()
@@ -70,13 +78,13 @@ def test_service_bulk_identical_under_faults(blocks):
         with PredictionService(uarch="SKL", port=0,
                                max_wait_ms=0.0) as service:
             clean = ServiceClient(port=service.port).request_raw(
-                "/predict/bulk", body)
+                "/v1/predict/bulk", body)
     with injected(chaos_plan()):
         with PredictionService(uarch="SKL", port=0,
                                max_wait_ms=0.0) as service:
             chaotic = ServiceClient(port=service.port).request_raw(
-                "/predict/bulk", body)
-    assert chaotic == clean
+                "/v1/predict/bulk", body)
+    assert result_bytes(chaotic) == result_bytes(clean)
 
 
 def test_guarded_compare_recovers_under_faults():
@@ -85,9 +93,9 @@ def test_guarded_compare_recovers_under_faults():
     def compare_once():
         with PredictionService(uarch="SKL", port=0,
                                max_wait_ms=0.0) as service:
-            return ServiceClient(port=service.port).request_raw(
-                "/compare", {"hex": "4801d875f4",
-                             "predictors": ["Facile", "uiCA"]})
+            return result_bytes(ServiceClient(port=service.port).request_raw(
+                "/v1/compare", {"hex": "4801d875f4",
+                                "predictors": ["Facile", "uiCA"]}))
     with injected(None):
         clean = compare_once()
     with injected(chaos_plan()):

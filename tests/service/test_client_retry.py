@@ -3,11 +3,11 @@
 The real service is not needed here: a tiny stdlib HTTP server scripted
 to answer a fixed status sequence pins down exactly when the client
 retries (429 and connection errors), when it gives up (``max_attempts``)
-and when it must not retry at all (any other error status).
+and when it must not retry at all (any other error status), and that a
+call is one request, with no API probe before it.
 """
 
 import http.server
-import json
 import random
 import socket
 import threading
@@ -17,10 +17,20 @@ import pytest
 
 from repro.robustness import RetryPolicy
 from repro.service import ServiceClient, ServiceError
+from repro.service.serialize import envelope_bytes, \
+    error_envelope_bytes, json_bytes, meta_dict
+
+#: The trace id every scripted response carries.
+TRACE = "0123456789abcdef"
 
 
 class ScriptedServer:
-    """Answers the scripted (status, headers) list, then 200s forever."""
+    """Answers the scripted (status, headers) list, then 200s forever.
+
+    Bodies are the service's envelopes: ``{"ok": true}`` as the result
+    of a 200, the error envelope otherwise.  Every request counts in
+    :attr:`hits`.
+    """
 
     def __init__(self, script):
         self.script = list(script)
@@ -36,9 +46,10 @@ class ScriptedServer:
                 status, headers = (outer.script[index]
                                    if index < len(outer.script)
                                    else (200, {}))
-                body = json.dumps({"ok": True} if status == 200
-                                  else {"error": f"scripted {status}"})
-                body = body.encode("utf-8")
+                body = (envelope_bytes(json_bytes({"ok": True}),
+                                       meta_dict(trace=TRACE))
+                        if status == 200 else error_envelope_bytes(
+                            status, f"scripted {status}", trace=TRACE))
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(body)))
@@ -46,6 +57,8 @@ class ScriptedServer:
                     self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(body)
+
+            do_GET = do_POST
 
             def log_message(self, *args):
                 pass
@@ -87,7 +100,7 @@ class TestShedRetries:
         slept = []
         client = ServiceClient(port=server.port,
                                retry_policy=recording_policy(slept))
-        assert client.request("/predict", {"hex": "90"}) == {"ok": True}
+        assert client.predict("90").data == {"ok": True}
         assert server.hits == 2
         # base=0.0 makes the jitter zero, so the slept delay is exactly
         # the Retry-After floor the server asked for.
@@ -99,9 +112,11 @@ class TestShedRetries:
         client = ServiceClient(port=server.port,
                                retry_policy=recording_policy(slept))
         with pytest.raises(ServiceError) as exc:
-            client.request("/predict", {"hex": "90"})
+            client.predict("90")
         assert exc.value.status == 429
         assert exc.value.retry_after == 1.0
+        assert (exc.value.code, exc.value.message) == ("overloaded",
+                                                       "scripted 429")
         assert server.hits == 3  # max_attempts, not one more
         assert len(slept) == 2   # a sleep between tries, not after
 
@@ -112,7 +127,7 @@ class TestShedRetries:
             client = ServiceClient(port=server.port,
                                    retry_policy=recording_policy(slept))
             with pytest.raises(ServiceError) as exc:
-                client.request("/predict", {"hex": "90"})
+                client.predict("90")
             assert exc.value.status == status
             assert server.hits == 1
             assert slept == []
@@ -121,8 +136,16 @@ class TestShedRetries:
         server = scripted([(429, {"Retry-After": "1"})])
         client = ServiceClient(port=server.port, max_attempts=1)
         with pytest.raises(ServiceError):
-            client.request("/predict", {"hex": "90"})
+            client.predict("90")
         assert server.hits == 1
+
+
+class TestOneRequestPerCall:
+    def test_fresh_client_predict_is_one_request(self, scripted):
+        server = scripted([])
+        result = ServiceClient(port=server.port).predict("90")
+        assert server.hits == 1  # no API probe before the call
+        assert result.trace == TRACE
 
 
 class TestConnectionRetries:
@@ -143,7 +166,7 @@ class TestConnectionRetries:
                              rng=random.Random(1), sleep=slept.append)
         client = ServiceClient(port=dead_port, retry_policy=policy)
         with pytest.raises(urllib.error.URLError):
-            client.request("/health")
+            client.health()
         assert len(slept) == 2  # three connection attempts, two waits
 
     def test_validation(self):

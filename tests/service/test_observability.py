@@ -3,8 +3,8 @@
 Three wire-level contracts:
 
 * **tracing** — every response carries an ``X-Trace-Id`` header; the
-  ``/v1/`` envelope echoes the same id in ``meta.trace`` (success and
-  error alike); with debug logging on, the forked shard worker logs the
+  envelope echoes the same id in ``meta.trace`` (success and error
+  alike); with debug logging on, the forked shard worker logs the
   id the client saw, proving the trace propagated through the response
   cache, the micro-batcher, and the shard IPC payload end to end;
 * **/v1/metrics** — the scrape parses as Prometheus text exposition
@@ -69,12 +69,6 @@ class TestTraceIds:
         assert status == 400
         payload = json.loads(raw)
         assert payload["meta"]["trace"] == headers[TRACE_HEADER]
-
-    def test_legacy_routes_carry_the_header_only(self, service):
-        _, headers, raw = fetch(service, "/predict",
-                                {"hex": HEX, "mode": "loop"})
-        assert headers[TRACE_HEADER]
-        assert "meta" not in json.loads(raw)  # byte-frozen legacy body
 
     def test_client_exposes_the_trace(self, service):
         result = ServiceClient(port=service.port).predict(HEX)

@@ -58,8 +58,7 @@ def decode_error_text(hex_text):
 
 
 def error_message(data):
-    error = json.loads(data)["error"]
-    return error["message"] if isinstance(error, dict) else error
+    return json.loads(data)["error"]["message"]
 
 
 @pytest.fixture(scope="module")
@@ -120,24 +119,18 @@ class TestIdentity:
                     assert data.endswith(b',"result":' + expected + b"}")
                     assert json.loads(data)["meta"]["cache"] == {
                         "hits": hits, "misses": len(bulk_blocks) - hits}
-                status, headers, data = fetch(
-                    service.port, "/predict/bulk",
-                    dict(common, blocks=objects(forms[0])))
-                assert (status, data) == (200, expected)
-                assert headers["Deprecation"] == "true"
                 for block in single_blocks:
                     one = fragment(block)
-                    body = dict(common, hex=block.raw.hex())
-                    status, _, data = fetch(service.port, "/v1/predict",
-                                            body)
-                    assert status == 200
-                    assert data.endswith(b',"result":' + one + b"}")
-                    assert json.loads(data)["meta"]["cache"] == "miss"
-                    asm = dict(common, asm=block.text())
-                    for path, body in (("/predict", body),
-                                       ("/predict", asm)):
-                        assert fetch(service.port, path, body)[::2] \
-                            == (200, one)
+                    # A miss as hex, then a hit on the same bytes as asm.
+                    for form, cache in (("hex", "miss"), ("asm", "hit")):
+                        text = (block.raw.hex() if form == "hex"
+                                else block.text())
+                        status, _, data = fetch(
+                            service.port, "/v1/predict",
+                            dict(common, **{form: text}))
+                        assert status == 200
+                        assert data.endswith(b',"result":' + one + b"}")
+                        assert json.loads(data)["meta"]["cache"] == cache
 
 
 class TestUndecodableBlocks:
@@ -161,9 +154,6 @@ class TestUndecodableBlocks:
         assert status == 400
         assert data == error_envelope_bytes(
             400, message, trace=headers["X-Trace-Id"])
-        status, _, data = fetch(service.port, "/predict/bulk",
-                                {"blocks": objects})
-        assert (status, data) == (400, json_bytes({"error": message}))
 
     @pytest.mark.parametrize("bad", UNDECODABLE)
     def test_single_predict(self, service, bad):
@@ -173,8 +163,6 @@ class TestUndecodableBlocks:
         assert status == 400
         assert data == error_envelope_bytes(
             400, message, trace=headers["X-Trace-Id"])
-        assert fetch(service.port, "/predict", {"hex": bad})[::2] \
-            == (400, json_bytes({"error": message}))
 
 
 class TestErrorOrder:
@@ -278,7 +266,7 @@ class TestPredictionFailureIsolation:
 
             def send(hex_text):
                 barrier.wait()
-                answers[hex_text] = fetch(ivb.port, "/predict/bulk", {
+                answers[hex_text] = fetch(ivb.port, "/v1/predict/bulk", {
                     "blocks": [{"hex": hex_text}], "mode": mode.value})
 
             threads = [threading.Thread(target=send, args=(hex_text,))
@@ -289,6 +277,9 @@ class TestPredictionFailureIsolation:
                 thread.join()
             batcher = ivb.stats_payload()["uarchs"]["IVB"]["batcher"]
         assert (batcher["batches"], batcher["requests"]) == (1, 2)
-        assert answers[AVX2_HEX][::2] == (
-            500, json_bytes({"error": "internal error"}))
-        assert answers["4801d8"][::2] == (200, expected)
+        status, headers, data = answers[AVX2_HEX]
+        assert (status, data) == (500, error_envelope_bytes(
+            500, "internal error", trace=headers["X-Trace-Id"]))
+        status, _, data = answers["4801d8"]
+        assert status == 200
+        assert data.endswith(b',"result":' + expected + b"}")

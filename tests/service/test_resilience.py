@@ -1,10 +1,11 @@
 """Service robustness: structured errors, deadlines, shedding, breakers.
 
 Regression surface for the fault-tolerant service layer: every error
-leaves the server as a small JSON object (never a stack trace), expired
+leaves the server as an error envelope (never a stack trace), expired
 deadlines shed as 504, a full admission queue sheds as 429 with a
 ``Retry-After`` hint, and an open predictor breaker degrades ``/health``
-and turns ``/compare`` entries into typed skips instead of failures.
+and turns ``/v1/compare`` entries into typed skips instead of
+failures.
 """
 
 import json
@@ -43,38 +44,44 @@ def client(service):
 class TestStructuredErrors:
     def test_400_body_is_json_with_no_internals(self, service):
         status, _, body = raw_error(
-            service.port, "/predict", json.dumps({"hex": "zz"}).encode())
+            service.port, "/v1/predict", json.dumps({"hex": "zz"}).encode())
         assert status == 400
         payload = json.loads(body)  # structured, parseable
-        assert set(payload) == {"error"}
+        assert set(payload) == {"error", "meta", "result"}
+        assert payload["error"]["code"] == "bad_request"
         assert "Traceback" not in body
         assert "repro/" not in body  # no source paths leak
 
     def test_unparseable_body_is_structured_400(self, service):
-        status, _, body = raw_error(service.port, "/predict", b"{not json")
+        status, _, body = raw_error(service.port, "/v1/predict",
+                                    b"{not json")
         assert status == 400
-        assert set(json.loads(body)) == {"error"}
+        assert json.loads(body)["error"]["code"] == "bad_request"
         assert "Traceback" not in body
 
     def test_internal_error_is_opaque_500(self, service):
         # An injected fault inside the handler is the stand-in for any
         # unexpected exception: the client sees only "internal error".
         plan = FaultPlan.from_spec(
-            "seed=0; predictor_error@service./predict:p=1.0")
+            "seed=0; predictor_error@service./v1/predict:p=1.0")
         with injected(plan):
-            status, _, body = raw_error(
-                service.port, "/predict",
+            status, headers, body = raw_error(
+                service.port, "/v1/predict",
                 json.dumps({"hex": "4801d8"}).encode())
         assert status == 500
-        assert json.loads(body) == {"error": "internal error"}
+        payload = json.loads(body)
+        assert payload["error"] == {"code": "internal",
+                                    "message": "internal error"}
+        assert payload["result"] is None
+        assert payload["meta"]["trace"] == headers["X-Trace-Id"]
         assert "Traceback" not in body
         assert "FaultInjected" not in body
 
     def test_timeout_ms_is_validated(self, client):
-        for bad in (-5, 0, "soon", [1]):
+        for bad in (-5, 0, float("nan"), "soon", [1]):
             with pytest.raises(ServiceError) as exc:
-                client.request("/predict", {"hex": "4801d8",
-                                            "timeout_ms": bad})
+                client.request("/v1/predict", {"hex": "4801d8",
+                                               "timeout_ms": bad})
             assert exc.value.status == 400
             assert "timeout_ms" in exc.value.message
 
@@ -84,20 +91,17 @@ class TestDeadlines:
         # A deadline this tight always expires before dispatch; the
         # request is dropped without doing the prediction work.
         with pytest.raises(ServiceError) as exc:
-            client.request("/predict", {"hex": "4801d8",
-                                        "timeout_ms": 0.0001})
+            client.predict("4801d8", timeout_ms=0.0001)
         assert exc.value.status == 504
 
     def test_generous_deadline_succeeds(self, client):
-        result = client.request("/predict", {"hex": "4801d8",
-                                             "timeout_ms": 60000})
-        assert result["cycles"] > 0
+        result = client.predict("4801d8", timeout_ms=60000)
+        assert result.cycles > 0
 
     def test_deadline_drops_counted_in_stats(self, client):
         before = client.stats()["uarchs"]["SKL"]["batcher"]
         with pytest.raises(ServiceError):
-            client.request("/predict", {"hex": "4801d8",
-                                        "timeout_ms": 0.0001})
+            client.predict("4801d8", timeout_ms=0.0001)
         after = client.stats()["uarchs"]["SKL"]["batcher"]
         assert after["deadline_drops"] == before["deadline_drops"] + 1
 
@@ -124,8 +128,8 @@ class TestAdmissionControl:
                                max_wait_ms=2.0) as tiny:
             body = json.dumps(
                 {"blocks": [{"hex": "90"}] * 8}).encode()
-            status, headers, _ = raw_error(tiny.port, "/predict/bulk",
-                                           body)
+            status, headers, _ = raw_error(tiny.port,
+                                           "/v1/predict/bulk", body)
             assert status == 429
             assert int(headers["Retry-After"]) >= 1
 

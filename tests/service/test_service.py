@@ -3,10 +3,12 @@
 The acceptance property of the service layer: responses are
 *byte-identical* to serializing the predictions of a serial
 ``Engine.predict_many`` over the same blocks — concurrency and
-micro-batching change latency, never payloads — and ``/stats`` reports
-cache and batching statistics that reflect the traffic served.
+micro-batching change latency, never payloads — and ``/v1/stats``
+reports cache and batching statistics that reflect the traffic served.
 """
 
+import json
+import socket
 import threading
 
 import pytest
@@ -17,6 +19,7 @@ from repro.core.model import Facile
 from repro.engine.engine import Engine
 from repro.service import PredictionService, ServiceClient, ServiceError, \
     json_bytes, prediction_to_dict
+from repro.service.server import MAX_HEADER_COUNT
 from repro.uarch import uarch_by_name
 
 SKL = uarch_by_name("SKL")
@@ -143,7 +146,8 @@ class TestConcurrentDeterminism:
         def hit(index):
             try:
                 responses[index] = ServiceClient(
-                    port=service.port).request_raw("/predict/bulk", body)
+                    port=service.port).request_raw("/v1/predict/bulk",
+                                                   body)
             except BaseException as exc:
                 errors.append(exc)
 
@@ -154,7 +158,8 @@ class TestConcurrentDeterminism:
         for thread in threads:
             thread.join()
         assert not errors
-        assert all(raw == golden for raw in responses)
+        assert all(raw.endswith(b',"result":' + golden + b"}")
+                   for raw in responses)
 
     def test_interleaved_modes_and_sizes(self, service, suite):
         # Mixed traffic: different modes and shard sizes in flight at
@@ -172,7 +177,7 @@ class TestConcurrentDeterminism:
 
         def hit(mode):
             raw = ServiceClient(port=service.port).request_raw(
-                "/predict/bulk", bodies[mode])
+                "/v1/predict/bulk", bodies[mode])
             with lock:
                 results.append((mode, raw))
 
@@ -187,7 +192,7 @@ class TestConcurrentDeterminism:
             thread.join()
         assert len(results) == 8
         for mode, raw in results:
-            assert raw == goldens[mode]
+            assert raw.endswith(b',"result":' + goldens[mode] + b"}")
 
 
 class TestMalformedRequests:
@@ -196,7 +201,7 @@ class TestMalformedRequests:
         import urllib.error
         import urllib.request
         request = urllib.request.Request(
-            f"http://127.0.0.1:{service.port}/predict",
+            f"http://127.0.0.1:{service.port}/v1/predict",
             data=b"not json", method="POST")
         with pytest.raises(urllib.error.HTTPError) as httperr:
             urllib.request.urlopen(request, timeout=10)
@@ -205,12 +210,13 @@ class TestMalformedRequests:
 
     def test_empty_body(self, client):
         with pytest.raises(ServiceError) as exc:
-            client.request("/predict", {})
+            client.request("/v1/predict", {})
         assert exc.value.status == 400
 
     def test_both_hex_and_asm(self, client):
         with pytest.raises(ServiceError) as exc:
-            client.request("/predict", {"hex": "4801d8", "asm": "nop"})
+            client.request("/v1/predict", {"hex": "4801d8",
+                                           "asm": "nop"})
         assert exc.value.status == 400
         assert "exactly one" in exc.value.message
 
@@ -241,15 +247,15 @@ class TestMalformedRequests:
 
     def test_wrong_method_is_405(self, client):
         with pytest.raises(ServiceError) as exc:
-            client.request("/predict")  # GET on a POST route
+            client.request("/v1/predict")  # GET on a POST route
         assert exc.value.status == 405
         with pytest.raises(ServiceError) as exc:
-            client.request("/health", {"hex": "90"})  # POST on GET
+            client.request("/v1/health", {"hex": "90"})  # POST on GET
         assert exc.value.status == 405
 
     def test_bulk_rejects_non_array(self, client):
         with pytest.raises(ServiceError) as exc:
-            client.request("/predict/bulk", {"blocks": "4801d8"})
+            client.request("/v1/predict/bulk", {"blocks": "4801d8"})
         assert exc.value.status == 400
 
     def test_invalid_window_parameters_fail_at_construction(self):
@@ -292,11 +298,10 @@ class TestMalformedRequests:
         # read; the server must close that connection instead of
         # letting the unread bytes be parsed as the next request line.
         import http.client
-        import json as json_mod
         conn = http.client.HTTPConnection("127.0.0.1", service.port,
                                           timeout=10)
         try:
-            body = json_mod.dumps({"hex": "4801d8"})
+            body = json.dumps({"hex": "4801d8"})
             conn.request("POST", "/nope", body=body,
                          headers={"Content-Type": "application/json"})
             first = conn.getresponse()
@@ -305,11 +310,56 @@ class TestMalformedRequests:
             # http.client reconnects transparently after the server's
             # Connection: close; the follow-up must be a clean 200,
             # not a garbled request line.
-            conn.request("POST", "/predict", body=body,
+            conn.request("POST", "/v1/predict", body=body,
                          headers={"Content-Type": "application/json"})
             second = conn.getresponse()
             assert second.status == 200
-            payload = json_mod.loads(second.read())
-            assert payload["block"]["hex"] == "4801d8"
+            payload = json.loads(second.read())
+            assert payload["result"]["block"]["hex"] == "4801d8"
         finally:
             conn.close()
+
+    @staticmethod
+    def raw_exchange(port, request: bytes):
+        """Send *request* bytes; (status, headers, body) of the answer."""
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=10) as sock:
+            sock.sendall(request)
+            response = b""
+            while True:
+                try:
+                    chunk = sock.recv(65536)
+                except ConnectionResetError:  # closed with bytes unread
+                    break
+                if not chunk:
+                    break
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        status_line, *header_lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in header_lines)
+        return int(status_line.split()[1]), headers, body
+
+    def assert_bad_request(self, answer, message):
+        status, headers, body = answer
+        assert status == 400
+        assert json.loads(body) == {
+            "error": {"code": "bad_request", "message": message},
+            "meta": {"api_version": "v1", "uarch": None, "mode": None,
+                     "cache": None, "timing_ms": None,
+                     "trace": headers["X-Trace-Id"]},
+            "result": None}
+
+    def test_malformed_request_line_gets_the_envelope(self, service):
+        self.assert_bad_request(
+            self.raw_exchange(service.port, b"GARBAGE\r\n\r\n"),
+            "malformed request line")
+
+    def test_header_bound_counts_repeated_lines(self, service):
+        def health(lines):
+            return self.raw_exchange(
+                service.port, b"GET /v1/health HTTP/1.1\r\n"
+                + b"Connection: close\r\n" * lines + b"\r\n")
+
+        assert health(MAX_HEADER_COUNT)[0] == 200
+        self.assert_bad_request(health(MAX_HEADER_COUNT + 1),
+                                "too many headers")

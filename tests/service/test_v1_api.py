@@ -1,15 +1,14 @@
-"""The versioned v1 API: envelope, error schema, deprecation, client.
+"""The v1 API: envelope, error schema, client.
 
 Three layers of contract:
 
 * **byte-level** — the envelope/bulk assembly helpers splice
   pre-serialized fragments yet produce exactly the bytes
   :func:`json_bytes` would for the equivalent full dict;
-* **wire-level** — ``/v1/`` responses share one envelope and one
-  structured error vocabulary, while the legacy unversioned routes keep
-  their original payloads byte-for-byte plus a ``Deprecation`` header;
-* **client-level** — :class:`ServiceClient` negotiates the generation
-  once and serves typed results that still act like the raw dicts.
+* **wire-level** — every response shares one envelope and one
+  structured error vocabulary, and only ``/v1/`` paths are served;
+* **client-level** — :class:`ServiceClient` serves typed results that
+  still act like the raw dicts.
 """
 
 import json
@@ -101,16 +100,6 @@ class TestByteAssembly:
         assert set(meta_dict()) == {"api_version", "uarch", "mode",
                                     "cache", "timing_ms", "trace"}
 
-    def test_every_legacy_route_has_a_v1_twin(self):
-        # v1-only routes (new surfaces that never had a legacy payload
-        # to stay byte-compatible with) are exempt from the twin rule.
-        v1_only = {"/v1/metrics"}
-        for method, paths in ROUTES.items():
-            legacy = {p for p in paths if not p.startswith("/v1/")}
-            versioned = {p for p in paths if p.startswith("/v1/")}
-            assert {"/v1" + p for p in legacy} == versioned - v1_only, \
-                method
-
 
 class TestV1Envelope:
     def test_predict_envelope(self, service):
@@ -126,7 +115,10 @@ class TestV1Envelope:
         assert meta["mode"] == "loop"
         assert meta["cache"] in ("hit", "miss")
         assert meta["timing_ms"] >= 0
-        assert payload["result"]["block"]["hex"] == HEX
+        block = BasicBlock.from_bytes(bytes.fromhex(HEX))
+        prediction = Facile(SKL).predict(block, ThroughputMode.LOOP)
+        assert raw.endswith(b',"result":' + json_bytes(prediction_to_dict(
+            block=block, prediction=prediction, uarch="SKL")) + b"}")
 
     def test_bulk_envelope_reports_cache_split(self, service):
         body = {"blocks": [{"hex": HEX}, {"hex": "90"}], "mode": "loop"}
@@ -141,43 +133,39 @@ class TestV1Envelope:
         assert status == 200
         result = json.loads(raw)["result"]
         assert result["api_versions"] == [API_VERSION]
-        # The legacy route serves the identical (unwrapped) payload —
-        # modulo the uptime clock, which ticks between the two calls.
-        _, _, legacy_raw = fetch(service, "/health")
-        legacy = json.loads(legacy_raw)
-        legacy.pop("uptime_sec")
-        result.pop("uptime_sec")
-        assert legacy == result
 
 
-class TestLegacyCompatibility:
-    def test_legacy_body_is_the_v1_result_verbatim(self, service):
-        body = {"hex": HEX, "mode": "unrolled"}
-        _, _, v1_raw = fetch(service, "/v1/predict", body)
-        _, _, legacy_raw = fetch(service, "/predict", body)
-        assert legacy_raw == json_bytes(json.loads(v1_raw)["result"])
+class TestUnversionedPaths:
+    def test_routes_are_all_v1(self):
+        assert all(path.startswith("/v1/")
+                   for paths in ROUTES.values() for path in paths)
 
-    def test_legacy_bytes_match_direct_serialization(self, service):
-        block = BasicBlock.from_bytes(bytes.fromhex(HEX))
-        prediction = Facile(SKL).predict(block, ThroughputMode.LOOP)
-        _, _, raw = fetch(service, "/predict",
-                          {"hex": HEX, "mode": "loop"})
-        assert raw == json_bytes(prediction_to_dict(block=block,
-                                                    prediction=prediction,
-                                                    uarch="SKL"))
-
-    def test_deprecation_header_on_legacy_success_only(self, service):
-        _, legacy_headers, _ = fetch(service, "/health")
-        assert legacy_headers.get("Deprecation") == "true"
-        _, v1_headers, _ = fetch(service, "/v1/health")
-        assert "Deprecation" not in v1_headers
-
-    def test_legacy_error_keeps_string_schema(self, service):
-        status, _, raw = fetch(service, "/predict", {})
-        assert status == 400
+    @pytest.mark.parametrize("path,body", [
+        ("/predict", {"hex": HEX}),
+        ("/predict/bulk", {"blocks": [{"hex": HEX}]}),
+        ("/compare", {"hex": HEX}),
+        ("/health", None),
+        ("/stats", None),
+    ])
+    def test_unversioned_path_is_a_v1_404(self, service, path, body):
+        status, headers, raw = fetch(service, path, body)
+        assert status == 404
         payload = json.loads(raw)
-        assert isinstance(payload["error"], str)
-        assert set(payload) == {"error"}
+        assert payload["result"] is None
+        assert payload["error"] == {"code": "not_found",
+                                    "message": f"unknown endpoint {path!r}"}
+        assert payload["meta"]["trace"] == headers["X-Trace-Id"]
+        assert "Deprecation" not in headers
+
+    def test_no_response_carries_deprecation(self, service):
+        for method, paths in ROUTES.items():
+            for path in paths:
+                body = {"hex": HEX} if method == "POST" else None
+                if path == "/v1/predict/bulk":
+                    body = {"blocks": [body]}
+                status, headers, _ = fetch(service, path, body)
+                assert status == 200, path
+                assert "Deprecation" not in headers, path
 
 
 class TestV1Errors:
@@ -214,24 +202,11 @@ class TestV1Errors:
 
 
 class TestClientNegotiation:
-    def test_auto_negotiates_v1(self, service):
-        with ServiceClient(port=service.port) as client:
-            assert client.api_version == "v1"
-
-    def test_forced_legacy_still_works(self, service):
-        with ServiceClient(port=service.port, api="legacy") as client:
-            assert client.api_version == "legacy"
-            result = client.predict(HEX, mode="loop")
-            assert result.meta is None
-            assert result.block["hex"] == HEX
-
-    def test_forced_v1_skips_probe(self, service):
-        client = ServiceClient(port=service.port, api="v1")
-        assert client.api_version == "v1"
-
     def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            ServiceClient(api="v2")
+        # One API: nothing to choose or negotiate.
+        with pytest.raises(TypeError):
+            ServiceClient(api="v1")
+        assert not hasattr(ServiceClient(), "api_version")
         with pytest.raises(ValueError):
             ServiceClient(max_attempts=0)
         with pytest.raises(TypeError):

@@ -101,7 +101,7 @@ class TestApiConformance:
         rows = "\n".join(f"| `{code}` | {status} | x |"
                          for status, code in ERROR_CODES.items())
         (docs / "SERVICE.md").write_text(
-            "`GET /health` and `GET /phantom` only\n" + rows + "\n")
+            "`GET /v1/health` and `GET /phantom` only\n" + rows + "\n")
         problems = check_docs.api_conformance_problems(str(tmp_path))
         assert any("`POST /v1/predict` is undocumented" in p
                    for p in problems)
