@@ -9,6 +9,7 @@ disassembly), exactly as the paper describes.
 
 from __future__ import annotations
 
+import gc
 import random
 import time
 from dataclasses import dataclass, field
@@ -47,6 +48,45 @@ class TimingResult:
         return ordered[len(ordered) // 2]
 
 
+def _time_samples(predicts: Sequence[Callable], suite: BenchmarkSuite,
+                  mode: ThroughputMode) -> List[List[float]]:
+    """Milliseconds to decode and predict each benchmark's block, per
+    predictor in ``predicts``.
+
+    Every predictor times a block before the next block is taken, so a
+    transient slowdown of the host lands on all predictors' samples of
+    that block alike rather than on whichever predictor was running.
+    The global Ports memo is dropped before every sample: it would
+    otherwise turn repeated port multisets (across blocks and across
+    predictors) into lookups instead of the full per-call price.  The
+    cyclic garbage collector is off while the samples run, as in
+    :mod:`timeit`: a full collection of a large heap (a long test
+    session, say) takes tens to hundreds of milliseconds and would
+    swamp the ~1 ms sample it lands in.
+    """
+    from repro.core.ports import clear_ports_memo
+
+    loop = mode is ThroughputMode.LOOP
+    samples: List[List[float]] = [[] for _ in predicts]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for bench in suite:
+            raw = bench.block(loop).raw
+            for predict, out in zip(predicts, samples):
+                clear_ports_memo()
+                start = time.perf_counter()
+                # Like the real tools, the input is a binary: decoding
+                # is part of the measured work.
+                block = BasicBlock.from_bytes(raw)
+                predict(block, mode)
+                out.append(1000.0 * (time.perf_counter() - start))
+    finally:
+        if enabled:
+            gc.enable()
+    return samples
+
+
 def time_predictor(predictor, suite: BenchmarkSuite,
                    mode: ThroughputMode) -> TimingResult:
     """Time one predictor over the suite (prediction only, no training).
@@ -58,24 +98,10 @@ def time_predictor(predictor, suite: BenchmarkSuite,
     The per-instruction characterization cache stays warm, as in the
     seed setup.
     """
-    from repro.core.ports import clear_ports_memo
-
     predictor.prepare()
     for db in predictor.databases():
         AnalysisCache.shared(db).clear()
-    loop = mode is ThroughputMode.LOOP
-    samples = []
-    for bench in suite:
-        raw = bench.block(loop).raw
-        # Per sample, as in time_facile_components: repeated port
-        # multisets across blocks must not be served from the memo.
-        clear_ports_memo()
-        start = time.perf_counter()
-        # Like the real tools, the input is a binary: decoding is part of
-        # the measured work.
-        block = BasicBlock.from_bytes(raw)
-        predictor.predict(block, mode)
-        samples.append(1000.0 * (time.perf_counter() - start))
+    samples, = _time_samples([predictor.predict], suite, mode)
     return TimingResult(predictor.name, samples)
 
 
@@ -87,7 +113,8 @@ def time_facile_components(cfg: MicroArchConfig, suite: BenchmarkSuite,
 
     The overhead (disassembly, block analysis, combination) is measured
     with all components deactivated; each component's cost is the
-    single-component run minus that overhead.
+    single-component run minus that overhead.  The variants take turns
+    on each block, so a deduction pairs samples taken moments apart.
 
     Every variant runs with its own fresh analysis cache: sharing the
     engine's cache across variants would make every run after the first
@@ -97,33 +124,20 @@ def time_facile_components(cfg: MicroArchConfig, suite: BenchmarkSuite,
     loop = mode is ThroughputMode.LOOP
     relevant = (LOOP_COMPONENTS if loop else UNROLLED_COMPONENTS)
 
-    def run(model: Facile) -> List[float]:
-        # The global Ports memo would otherwise turn repeated multisets
-        # (across variants *and* across blocks within this run) into
-        # lookups — drop it before every sample so each prediction pays
-        # the full per-call price the seed code measured.
-        from repro.core.ports import clear_ports_memo
-        samples = []
-        for bench in suite:
-            raw = bench.block(loop).raw
-            clear_ports_memo()
-            start = time.perf_counter()
-            block = BasicBlock.from_bytes(raw)
-            model.predict(block, mode)
-            samples.append(1000.0 * (time.perf_counter() - start))
-        return samples
-
     def fresh(**kwargs) -> Facile:
         return Facile(cfg, db=db, cache=AnalysisCache(db), **kwargs)
 
-    results: Dict[str, TimingResult] = {}
-    results["FACILE"] = TimingResult("FACILE", run(fresh()))
-    overhead = run(fresh(components=()))
-    results["Overhead"] = TimingResult("Overhead", overhead)
+    variants = {"FACILE": fresh(), "Overhead": fresh(components=())}
     for comp in relevant:
-        samples = run(fresh(components={comp}))
-        deducted = [max(0.0, s - o) for s, o in zip(samples, overhead)]
-        results[comp.value] = TimingResult(comp.value, deducted)
+        variants[comp.value] = fresh(components={comp})
+    timed = dict(zip(variants, _time_samples(
+        [model.predict for model in variants.values()], suite, mode)))
+    overhead = timed["Overhead"]
+    results: Dict[str, TimingResult] = {}
+    for name, samples in timed.items():
+        if name not in ("FACILE", "Overhead"):
+            samples = [max(0.0, s - o) for s, o in zip(samples, overhead)]
+        results[name] = TimingResult(name, samples)
     return results
 
 

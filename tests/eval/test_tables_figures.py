@@ -1,5 +1,8 @@
 """Evaluation-harness tests on a small suite (fast smoke of §6)."""
 
+import gc
+from types import SimpleNamespace
+
 import pytest
 
 from repro.bhive.suite import BenchmarkSuite
@@ -102,6 +105,38 @@ class TestFigures:
             # Components cost less than the whole model.
             assert results["Precedence"].mean_ms <= \
                 results["FACILE"].mean_ms + 0.5
+
+
+class TestTiming:
+    def test_samples_are_timed_block_by_block_with_the_collector_off(
+            self, small_suite, monkeypatch):
+        # Figure 4 deducts the overhead sample of a block from each
+        # component's sample of the same block, and Figures 4 and 5
+        # report ~1 ms means: a host slowdown or a full collection must
+        # not land on one variant's samples alone.
+        from repro.eval import timing
+        seen = []
+        predict = timing.Facile.predict
+
+        def record(block, mode):
+            seen.append((gc.isenabled(), block.raw))
+
+        def spy(self, block, mode):
+            record(block, mode)
+            return predict(self, block, mode)
+
+        monkeypatch.setattr(timing.Facile, "predict", spy)
+        results = timing.time_facile_components(
+            uarch_by_name("SKL"), small_suite, ThroughputMode.LOOP)
+        raws = [bench.block(True).raw for bench in small_suite]
+        assert [raw for _, raw in seen] == [raw for raw in raws
+                                            for _ in results]
+        stub = SimpleNamespace(name="stub", prepare=lambda: None,
+                               databases=lambda: [], predict=record)
+        timing.time_predictor(stub, small_suite, ThroughputMode.LOOP)
+        assert [raw for _, raw in seen[-len(raws):]] == raws
+        assert not any(enabled for enabled, _ in seen)
+        assert gc.isenabled()
 
 
 class TestRunner:

@@ -115,8 +115,13 @@ class TestV1Envelope:
         assert meta["mode"] == "loop"
         assert meta["cache"] in ("hit", "miss")
         assert meta["timing_ms"] >= 0
+        assert payload["result"]["block"]["hex"] == HEX
+
+    def test_predict_bytes_match_direct_serialization(self, service):
         block = BasicBlock.from_bytes(bytes.fromhex(HEX))
         prediction = Facile(SKL).predict(block, ThroughputMode.LOOP)
+        _, _, raw = fetch(service, "/v1/predict",
+                          {"hex": HEX, "mode": "loop"})
         assert raw.endswith(b',"result":' + json_bytes(prediction_to_dict(
             block=block, prediction=prediction, uarch="SKL")) + b"}")
 
