@@ -23,6 +23,10 @@ Checks, over ``README.md`` and every ``docs/*.md``:
    catalogued metric name appears as a backticked ``facile_*`` token,
    and every backticked ``facile_*`` token names a catalogued metric
    (a doc cannot advertise a metric the registry never exports).
+5. **Serve flags** — the flag table at the top of ``docs/SERVICE.md``
+   has one ``| `--flag` |`` row per long option of ``facile serve``
+   in :func:`repro.cli.build_parser` (``--help`` aside), and no row
+   for an option the command does not accept.
 
 Run directly (exits non-zero and lists problems on failure)::
 
@@ -84,8 +88,9 @@ def broken_links(path: str) -> List[Tuple[str, str]]:
     return problems
 
 
-def cli_subcommands() -> List[str]:
-    """Every subcommand name registered on the ``facile`` parser."""
+def _subparsers():
+    """Subcommand name -> parser, as registered on the ``facile``
+    parser."""
     import argparse
 
     sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
@@ -93,8 +98,20 @@ def cli_subcommands() -> List[str]:
 
     for action in build_parser()._actions:
         if isinstance(action, argparse._SubParsersAction):
-            return list(action.choices)
+            return action.choices
     raise AssertionError("facile parser has no subparsers?")
+
+
+def cli_subcommands() -> List[str]:
+    """Every subcommand name registered on the ``facile`` parser."""
+    return list(_subparsers())
+
+
+def serve_flags() -> List[str]:
+    """Every long option of ``facile serve`` but ``--help``."""
+    return [option for action in _subparsers()["serve"]._actions
+            for option in action.option_strings
+            if option.startswith("--") and option != "--help"]
 
 
 def undocumented_subcommands(readme_path: str,
@@ -151,6 +168,29 @@ def api_conformance_problems(root: str = REPO_ROOT) -> List[str]:
     return problems
 
 
+#: Flag-table rows in SERVICE.md: | `--max-batch` | `64` | ...
+FLAG_ROW_RE = re.compile(r"^\|\s*`(--[a-z][a-z0-9-]*)`\s*\|",
+                         re.MULTILINE)
+
+
+def serve_flag_problems(root: str = REPO_ROOT) -> List[str]:
+    """Drift between ``facile serve``'s options and the flag table of
+    ``docs/SERVICE.md`` (both ways).  A missing SERVICE.md is reported
+    by :func:`api_conformance_problems`."""
+    service_md = os.path.join(root, "docs", "SERVICE.md")
+    if not os.path.exists(service_md):
+        return []
+    with open(service_md, encoding="utf-8") as handle:
+        rows = set(FLAG_ROW_RE.findall(handle.read()))
+    flags = set(serve_flags())
+    problems = [f"docs/SERVICE.md: `facile serve {flag}` has no row in "
+                "the flag table" for flag in sorted(flags - rows)]
+    problems.extend(f"docs/SERVICE.md: the flag table lists `{flag}`, "
+                    "which `facile serve` does not accept"
+                    for flag in sorted(rows - flags))
+    return problems
+
+
 #: Backticked metric tokens in OBSERVABILITY.md: `facile_x_total`,
 #: `facile_span_duration_ms{span=...}` (label hints are stripped).
 METRIC_TOKEN_RE = re.compile(r"`(facile_[a-z0-9_]+)(?:\{[^`]*\})?`")
@@ -197,6 +237,7 @@ def run_checks(root: str = REPO_ROOT) -> List[str]:
                 f"README.md: CLI subcommand {name!r} is undocumented "
                 f"(expected the text 'facile {name}')")
     problems.extend(api_conformance_problems(root))
+    problems.extend(serve_flag_problems(root))
     problems.extend(metrics_conformance_problems(root))
     return problems
 

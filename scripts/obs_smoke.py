@@ -53,7 +53,7 @@ def start_server():
     # or communicate() would wait forever on the orphan's open pipes.
     process = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-         "--uarch", "SKL", "--max-wait-ms", "2"],
+         "--uarch", "SKL"],
         cwd=REPO_ROOT, env=env, stdout=subprocess.PIPE,
         stderr=subprocess.PIPE, text=True, start_new_session=True)
     deadline = time.monotonic() + STARTUP_TIMEOUT_SEC

@@ -50,7 +50,7 @@ from repro.discovery import (
     render_markdown,
     run_campaign,
 )
-from repro.engine.batching import DEFAULT_MAX_BATCH, DEFAULT_MAX_WAIT_MS
+from repro.engine.batching import DEFAULT_MAX_BATCH
 from repro.service.server import DEFAULT_MAX_QUEUE
 from repro.core.components import Component, ThroughputMode
 from repro.core.counterfactual import idealized_speedup
@@ -260,7 +260,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         service = PredictionService(
             uarch=args.uarch, host=args.host, port=args.port,
-            max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
+            max_batch=args.max_batch,
             max_queue=(args.max_queue if args.max_queue > 0 else None),
             shard=not args.no_shard)
     except (ValueError, OSError) as exc:
@@ -285,7 +285,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 host=service.host, port=service.port,
                 uarch=args.uarch,
                 max_batch=args.max_batch,
-                max_wait_ms=args.max_wait_ms,
                 endpoints="GET /v1/health /v1/stats /v1/metrics; "
                           "POST /v1/predict /v1/predict/bulk "
                           "/v1/compare (docs/SERVICE.md)")
@@ -591,15 +590,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="default µarch for requests that omit one")
     serve.add_argument("--max-batch", type=int,
                        default=DEFAULT_MAX_BATCH,
-                       help="micro-batch window size (requests)")
+                       help="most queued requests per shard call")
     serve.add_argument("--max-queue", type=int,
                        default=DEFAULT_MAX_QUEUE,
                        help="bound on queued requests per µarch before "
                             "the service sheds with 429 (default "
                             f"{DEFAULT_MAX_QUEUE}; 0 = unbounded)")
-    serve.add_argument("--max-wait-ms", type=float,
-                       default=DEFAULT_MAX_WAIT_MS,
-                       help="micro-batch window timeout (milliseconds)")
     serve.add_argument("--warm", default=None, metavar="CORPUS",
                        help="pre-answer a block corpus (hex per line, "
                             "or a BHive-style CSV) before serving")

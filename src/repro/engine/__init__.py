@@ -11,10 +11,10 @@ The engine has three layers (see the module docstrings for details):
 * :mod:`repro.engine.columnar` — :class:`ColumnarCore`, the
   template-compiled prediction core (the engine's default), bit-for-bit
   equal to the :class:`~repro.core.model.Facile` object model;
-* :mod:`repro.engine.batching` — :class:`MicroBatcher`, the time/size-
-  windowed queue that merges concurrent single-block requests (the
-  prediction service's traffic) into one ``predict_many`` call per
-  window;
+* :mod:`repro.engine.batching` — :class:`MicroBatcher`, the queue that
+  merges concurrent single-block requests (the prediction service's
+  traffic) into one ``predict_many`` call per window, a window being
+  the backlog queued while the previous one ran;
 * :mod:`repro.engine.bench` — the performance-regression harness behind
   ``benchmarks/perf/`` and ``scripts/bench.py``.
 

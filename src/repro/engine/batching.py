@@ -1,4 +1,4 @@
-"""Time/size-windowed micro-batching onto a backend's ``predict_many``.
+"""Backlog micro-batching onto a backend's ``predict_many``.
 
 The prediction service accepts requests from many concurrent clients,
 but prediction's fast path is a *batch* call: one thread walking a list
@@ -7,11 +7,12 @@ two worlds:
 
 * client threads :meth:`submit` single ``(payload, mode)`` requests and
   receive a :class:`concurrent.futures.Future`;
-* one dispatcher thread drains the queue in windows — a batch closes as
-  soon as it holds ``max_batch`` requests *or* ``max_wait_ms`` elapsed
-  since the window opened, whichever comes first — groups the window by
-  mode, and resolves each group with one ``backend.predict_many`` call,
-  one result per payload.
+* one dispatcher thread takes whatever is queued, up to ``max_batch``
+  requests, the moment it is free — a request that finds it idle is
+  dispatched at once, and requests that arrive while a window is in the
+  backend go out together in the next one — groups the window by mode,
+  and resolves each group with one ``backend.predict_many`` call, one
+  result per payload.
 
 The batcher never looks inside a payload: an
 :class:`~repro.engine.engine.Engine` backend takes blocks and answers
@@ -39,7 +40,6 @@ Overload behavior (see ``docs/ROBUSTNESS.md``):
 from __future__ import annotations
 
 import inspect
-import math
 import threading
 import time
 from concurrent.futures import Future
@@ -52,9 +52,8 @@ from repro.obs import metrics
 from repro.obs.trace import Span
 from repro.robustness.errors import DeadlineExceeded, QueueFullError
 
-#: Default batching window (requests / milliseconds).
+#: Default bound on requests per dispatch window.
 DEFAULT_MAX_BATCH = 64
-DEFAULT_MAX_WAIT_MS = 5.0
 
 #: One queued request: payload, mode, future, optional deadline, and the
 #: trace id of the originating request (``None`` outside the service).
@@ -75,10 +74,6 @@ class MicroBatcher:
             method returning one result per payload (an
             :class:`~repro.engine.engine.Engine`, or a service shard).
         max_batch: maximum requests per dispatch window (>= 1).
-        max_wait_ms: how long an open window waits for more requests
-            before dispatching what it has.  ``0`` dispatches eagerly —
-            useful in tests that want deterministic single-request
-            batches.
         max_queue: bound on queued (not yet dispatched) requests;
             ``None`` keeps the queue unbounded (the pre-robustness
             behavior).  Submits beyond the bound shed load by raising
@@ -97,18 +92,14 @@ class MicroBatcher:
     """
 
     def __init__(self, engine, *, max_batch: int = DEFAULT_MAX_BATCH,
-                 max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
                  max_queue: Optional[int] = None,
                  obs_label: Optional[str] = None):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
         if max_queue is not None and max_queue < 1:
             raise ValueError("max_queue must be >= 1 or None")
         self.engine = engine
         self.max_batch = max_batch
-        self.max_wait_ms = max_wait_ms
         self.max_queue = max_queue
         self.obs_label = obs_label
         # Feature-detect once whether the backend accepts per-block
@@ -136,16 +127,6 @@ class MicroBatcher:
         self._dispatcher.start()
 
     # -- client side ---------------------------------------------------
-
-    def retry_after(self) -> float:
-        """A polite ``Retry-After`` suggestion (seconds) when shedding:
-        roughly how long the current backlog takes to drain in full
-        windows, never less than one second."""
-        with self._lock:
-            backlog = len(self._pending)
-        windows = math.ceil(max(1, backlog) / self.max_batch)
-        return float(max(1, math.ceil(
-            windows * (self.max_wait_ms / 1000.0))))
 
     def submit(self, block: BasicBlock, mode: ThroughputMode,
                deadline: Optional[float] = None,
@@ -194,13 +175,9 @@ class MicroBatcher:
                     and len(self._pending) + len(requests)
                     > self.max_queue):
                 self.shed += len(requests)
-                backlog = len(self._pending)
                 raise QueueFullError(
-                    f"admission queue full ({backlog} queued, "
-                    f"bound {self.max_queue}); retry later",
-                    retry_after=max(1.0, math.ceil(
-                        math.ceil(max(1, backlog) / self.max_batch)
-                        * (self.max_wait_ms / 1000.0))))
+                    f"admission queue full ({len(self._pending)} queued, "
+                    f"bound {self.max_queue}); retry later")
             futures: List["Future[Prediction]"] = []
             for block, mode, deadline, trace in requests:
                 future: "Future[Prediction]" = Future()
@@ -258,21 +235,14 @@ class MicroBatcher:
     # -- dispatcher side -----------------------------------------------
 
     def _take_window(self) -> List[_Entry]:
-        """Block until a window is ready, then claim its requests.
+        """Block until a request is queued, then claim the backlog (up
+        to ``max_batch`` requests) as the next window.
 
         Returns an empty list exactly once, when the batcher closes.
         """
         with self._pending_cond:
             while not self._pending and not self._closed:
                 self._pending_cond.wait()
-            if self._pending and not self._closed:
-                # Window open: wait for it to fill or to time out.
-                remaining = self.max_wait_ms / 1000.0
-                while (len(self._pending) < self.max_batch
-                       and remaining > 0 and not self._closed):
-                    start = time.monotonic()
-                    self._pending_cond.wait(timeout=remaining)
-                    remaining -= time.monotonic() - start
             window = self._pending[:self.max_batch]
             del self._pending[:len(window)]
             return window
@@ -370,7 +340,6 @@ class MicroBatcher:
             "requests": self.requests,
             "batches": self.batches,
             "max_batch": self.max_batch,
-            "max_wait_ms": self.max_wait_ms,
             "max_batch_seen": self.max_batch_seen,
             "mean_batch_size": round(self.mean_batch_size, 2),
             "max_queue": self.max_queue,

@@ -7,8 +7,9 @@ lookups keyed on those bytes, byte assembly — and never decodes a
 block.  Only fragment misses cross into the µarch's
 :class:`~repro.service.shard.ShardEngine` worker process, as ``(raw
 bytes, counterfactuals)`` payloads through the
-:class:`~repro.engine.batching.MicroBatcher`, so concurrent clients are
-micro-batched onto one pass per window over that process's
+:class:`~repro.engine.batching.MicroBatcher`: a miss goes out as soon
+as the shard is free, and misses that queue while it is busy go out
+together, in one pass over that process's
 :class:`~repro.engine.columnar.ColumnarCore`, which decodes, predicts
 and serializes them.
 
@@ -49,8 +50,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from collections import OrderedDict
 
 from repro.core.components import ThroughputMode
-from repro.engine.batching import DEFAULT_MAX_BATCH, DEFAULT_MAX_WAIT_MS, \
-    MicroBatcher
+from repro.engine.batching import DEFAULT_MAX_BATCH, MicroBatcher
 from repro.obs import log as obslog
 from repro.obs import metrics
 from repro.obs.trace import TRACE_HEADER, new_trace_id
@@ -212,7 +212,7 @@ class _ResponseCache:
 class _UarchRuntime:
     """Everything the service holds per loaded µarch."""
 
-    def __init__(self, abbrev: str, *, max_batch: int, max_wait_ms: float,
+    def __init__(self, abbrev: str, *, max_batch: int,
                  max_queue: Optional[int],
                  breaker_failures: int, breaker_cooldown: float,
                  use_shard: bool, response_cache_entries: int):
@@ -221,7 +221,6 @@ class _UarchRuntime:
         self.backend = (self.shard if self.shard is not None
                         else LocalShard(abbrev))
         self.batcher = MicroBatcher(self.backend, max_batch=max_batch,
-                                    max_wait_ms=max_wait_ms,
                                     max_queue=max_queue,
                                     obs_label=abbrev)
         self.response_cache = _ResponseCache(response_cache_entries)
@@ -305,7 +304,7 @@ class PredictionService:
             (read it back from :attr:`port` — this is how the tests and
             the bench load generator run hermetically).  The socket is
             bound at construction, so address errors fail fast.
-        max_batch / max_wait_ms: the micro-batching window (see
+        max_batch: the most requests one dispatch window carries (see
             :class:`~repro.engine.batching.MicroBatcher`).
         max_bulk: maximum blocks accepted in one bulk request.
         max_queue: bound on each µarch's admission queue; beyond it the
@@ -331,7 +330,6 @@ class PredictionService:
     def __init__(self, uarch: str = "SKL", *, host: str = "127.0.0.1",
                  port: int = 0,
                  max_batch: int = DEFAULT_MAX_BATCH,
-                 max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
                  max_bulk: int = DEFAULT_MAX_BULK,
                  max_queue: Optional[int] = DEFAULT_MAX_QUEUE,
                  breaker_failures: int = DEFAULT_BREAKER_FAILURES,
@@ -343,8 +341,6 @@ class PredictionService:
         uarch_by_name(uarch)
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
         if max_bulk < 1:
             raise ValueError("max_bulk must be >= 1")
         if max_queue is not None and max_queue < 1:
@@ -357,7 +353,6 @@ class PredictionService:
             raise ValueError("response_cache_blocks must be >= 0")
         self.default_uarch = uarch
         self.max_batch = max_batch
-        self.max_wait_ms = max_wait_ms
         self.max_bulk = max_bulk
         self.max_queue = max_queue
         self.breaker_failures = breaker_failures
@@ -485,7 +480,6 @@ class PredictionService:
             if runtime is None:
                 runtime = _UarchRuntime(
                     uarch, max_batch=self.max_batch,
-                    max_wait_ms=self.max_wait_ms,
                     max_queue=self.max_queue,
                     breaker_failures=self.breaker_failures,
                     breaker_cooldown=self.breaker_cooldown,
@@ -500,10 +494,11 @@ class PredictionService:
         response-fragment cache.
 
         Runs the corpus through the batcher (no HTTP involved, so this
-        works before :meth:`start`).  Returns the number of (block,
-        mode) pairs warmed.  A block that is not hex, does not decode,
-        or cannot be predicted raises ``ValueError`` — a warm corpus is
-        operator input, not client traffic.
+        works before :meth:`start`), in slices the admission queue
+        takes whole.  Returns the number of (block, mode) pairs warmed.
+        A block that is not hex, does not decode, or cannot be
+        predicted raises ``ValueError`` — a warm corpus is operator
+        input, not client traffic.
         """
         uarch = uarch or self.default_uarch
         raws = list(dict.fromkeys(
@@ -511,15 +506,18 @@ class PredictionService:
         if not raws:
             return 0
         runtime = self.runtime(uarch)
+        step = self.max_queue or len(raws)
         for mode_value in modes:
             mode = ThroughputMode(mode_value)
-            results = runtime.batcher.predict_many(
-                [(raw, False) for raw in raws], mode)
-            for raw, result in zip(raws, results):
-                if not isinstance(result, bytes):
-                    raise ValueError(f"block {raw.hex()}: {result}")
-                runtime.response_cache.put((mode.value, raw, False),
-                                           result)
+            for start in range(0, len(raws), step):
+                chunk = raws[start:start + step]
+                results = runtime.batcher.predict_many(
+                    [(raw, False) for raw in chunk], mode)
+                for raw, result in zip(chunk, results):
+                    if not isinstance(result, bytes):
+                        raise ValueError(f"block {raw.hex()}: {result}")
+                    runtime.response_cache.put((mode.value, raw, False),
+                                               result)
         return len(raws) * len(modes)
 
     # -- bookkeeping ---------------------------------------------------

@@ -47,20 +47,20 @@ class TestEngineEmptyBatches:
 class TestMicroBatcherEmptyWindows:
     def test_close_without_traffic(self):
         with Engine(uarch_by_name("SKL")) as engine:
-            batcher = MicroBatcher(engine, max_wait_ms=0)
+            batcher = MicroBatcher(engine)
             batcher.close()
             assert batcher.batches == 0
             assert batcher.stats()["requests"] == 0
 
     def test_bulk_empty_request(self):
         with Engine(uarch_by_name("SKL")) as engine:
-            with MicroBatcher(engine, max_wait_ms=0) as batcher:
+            with MicroBatcher(engine) as batcher:
                 assert batcher.predict_many(
                     [], ThroughputMode.UNROLLED) == []
 
     def test_empty_window_dispatch_is_a_noop(self):
         with Engine(uarch_by_name("SKL")) as engine:
-            with MicroBatcher(engine, max_wait_ms=0) as batcher:
+            with MicroBatcher(engine) as batcher:
                 batcher._dispatch([])  # a window that closed empty
                 assert batcher.batches == 0
                 # and the batcher still works afterwards

@@ -75,13 +75,11 @@ def test_service_bulk_identical_under_faults(blocks):
     body = {"blocks": [{"hex": block.raw.hex()} for block in blocks],
             "mode": MODE.value}
     with injected(None):
-        with PredictionService(uarch="SKL", port=0,
-                               max_wait_ms=0.0) as service:
+        with PredictionService(uarch="SKL", port=0) as service:
             clean = ServiceClient(port=service.port).request_raw(
                 "/v1/predict/bulk", body)
     with injected(chaos_plan()):
-        with PredictionService(uarch="SKL", port=0,
-                               max_wait_ms=0.0) as service:
+        with PredictionService(uarch="SKL", port=0) as service:
             chaotic = ServiceClient(port=service.port).request_raw(
                 "/v1/predict/bulk", body)
     assert result_bytes(chaotic) == result_bytes(clean)
@@ -91,8 +89,7 @@ def test_guarded_compare_recovers_under_faults():
     # A predictor blip is retried inside the request; the response is
     # complete (nothing skipped) and identical to the clean one.
     def compare_once():
-        with PredictionService(uarch="SKL", port=0,
-                               max_wait_ms=0.0) as service:
+        with PredictionService(uarch="SKL", port=0) as service:
             return result_bytes(ServiceClient(port=service.port).request_raw(
                 "/v1/compare", {"hex": "4801d875f4",
                                 "predictors": ["Facile", "uiCA"]}))

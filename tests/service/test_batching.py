@@ -2,7 +2,9 @@
 
 The batching queue must be invisible in results: whatever the window
 sizes and however many threads submit, the predictions are exactly the
-serial ``Engine.predict_many`` output.
+serial ``Engine.predict_many`` output.  A window is the backlog: a
+request that finds the dispatcher idle goes out at once, and requests
+queued while the backend works go out together in its next call.
 """
 
 import threading
@@ -28,8 +30,7 @@ class TestMicroBatcher:
     def test_bulk_matches_serial_engine(self, suite):
         blocks = [b.block_l for b in suite]
         serial = Engine(SKL).predict_many(blocks, ThroughputMode.LOOP)
-        with MicroBatcher(Engine(SKL), max_batch=4,
-                          max_wait_ms=1.0) as batcher:
+        with MicroBatcher(Engine(SKL), max_batch=4) as batcher:
             batched = batcher.predict_many(blocks, ThroughputMode.LOOP)
         assert batched == serial
 
@@ -37,8 +38,7 @@ class TestMicroBatcher:
         blocks = [b.block_u for b in suite]
         serial = Engine(SKL).predict_many(blocks,
                                           ThroughputMode.UNROLLED)
-        with MicroBatcher(Engine(SKL), max_batch=8,
-                          max_wait_ms=2.0) as batcher:
+        with MicroBatcher(Engine(SKL), max_batch=8) as batcher:
             results = [None] * len(blocks)
 
             def submit(index):
@@ -61,8 +61,7 @@ class TestMicroBatcher:
         serial = {mode: Engine(SKL).predict_many(blocks, mode)
                   for mode in (ThroughputMode.UNROLLED,
                                ThroughputMode.LOOP)}
-        with MicroBatcher(Engine(SKL), max_batch=64,
-                          max_wait_ms=20.0) as batcher:
+        with MicroBatcher(Engine(SKL), max_batch=64) as batcher:
             futures = [(mode, index,
                         batcher.submit(blocks[index], mode))
                        for index in range(len(blocks))
@@ -73,8 +72,7 @@ class TestMicroBatcher:
 
     def test_stats_account_for_all_requests(self, suite):
         blocks = [b.block_l for b in suite]
-        with MicroBatcher(Engine(SKL), max_batch=4,
-                          max_wait_ms=0.0) as batcher:
+        with MicroBatcher(Engine(SKL), max_batch=4) as batcher:
             batcher.predict_many(blocks, ThroughputMode.LOOP)
             stats = batcher.stats()
         assert stats["requests"] == len(blocks)
@@ -93,8 +91,57 @@ class TestMicroBatcher:
     def test_invalid_window_parameters(self):
         with pytest.raises(ValueError):
             MicroBatcher(Engine(SKL), max_batch=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # no batching timer to set
             MicroBatcher(Engine(SKL), max_wait_ms=-1.0)
+
+
+class GatedBackend:
+    """Answers each payload with itself; every call blocks until the
+    test opens the gate, so submits pile up behind it."""
+
+    def __init__(self):
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+        self.calls = []
+
+    def predict_many(self, payloads, mode):
+        self.calls.append(list(payloads))
+        self.entered.set()
+        assert self.gate.wait(timeout=30)
+        return list(payloads)
+
+
+class TestBacklogWindows:
+    def test_backlog_goes_out_together_in_the_next_window(self):
+        backend = GatedBackend()
+        first, second, third = object(), object(), object()
+        with MicroBatcher(backend) as batcher:
+            futures = [batcher.submit(first, ThroughputMode.LOOP)]
+            # Dispatched alone: nothing else was queued.
+            assert backend.entered.wait(timeout=30)
+            futures += [batcher.submit(payload, ThroughputMode.LOOP)
+                        for payload in (second, third)]
+            assert batcher.queue_depth == 2
+            backend.gate.set()
+            results = [future.result(timeout=30) for future in futures]
+        # The submitted objects reach the backend as they are (plain
+        # objects compare by identity).
+        assert backend.calls == [[first], [second, third]]
+        assert results == [first, second, third]
+        assert (batcher.batches, batcher.max_batch_seen) == (2, 2)
+
+    def test_max_batch_caps_a_backlog_window(self):
+        backend = GatedBackend()
+        with MicroBatcher(backend, max_batch=2) as batcher:
+            futures = [batcher.submit(0, ThroughputMode.LOOP)]
+            assert backend.entered.wait(timeout=30)
+            futures += batcher.submit_many([1, 2, 3],
+                                           ThroughputMode.LOOP)
+            backend.gate.set()
+            assert [future.result(timeout=30)
+                    for future in futures] == [0, 1, 2, 3]
+        assert backend.calls == [[0], [1, 2], [3]]
+        assert (batcher.batches, batcher.max_batch_seen) == (3, 2)
 
 
 class TestCacheLRUBound:

@@ -43,7 +43,7 @@ def fetch(service, path, body=None):
 
 @pytest.fixture(scope="module")
 def service():
-    with PredictionService(uarch="SKL", port=0, max_wait_ms=2.0) as s:
+    with PredictionService(uarch="SKL", port=0) as s:
         yield s
 
 
@@ -88,8 +88,7 @@ class TestTracePropagation:
         monkeypatch.setenv(obslog.ENV_LEVEL, "debug")
         obslog.refresh_level()
         try:
-            with PredictionService(uarch="SKL", port=0,
-                                   max_wait_ms=0.0) as service:
+            with PredictionService(uarch="SKL", port=0) as service:
                 _, _, raw = fetch(service, "/v1/predict",
                                   {"hex": "4829d8", "mode": "unrolled"})
                 trace = json.loads(raw)["meta"]["trace"]
@@ -174,8 +173,7 @@ class TestStatsAndHealth:
     def test_no_shard_stats_and_metrics_read_the_local_core(self):
         # Every running service adds its samples to the process-wide
         # scrape; this one's are what disappears when it closes.
-        with PredictionService(uarch="SKL", port=0, shard=False,
-                               max_wait_ms=0.0) as service:
+        with PredictionService(uarch="SKL", port=0, shard=False) as service:
             fetch(service, "/v1/predict", {"hex": HEX, "mode": "loop"})
             # A different fragment key: the core answers from its
             # raw-bytes table.
@@ -207,8 +205,7 @@ class TestSlowRequestLog:
     def test_slow_threshold_trips_the_structured_log(self, monkeypatch,
                                                      capsys):
         monkeypatch.setenv(obslog.ENV_SLOW_MS, "0.000001")
-        with PredictionService(uarch="SKL", port=0, shard=False,
-                               max_wait_ms=0.0) as service:
+        with PredictionService(uarch="SKL", port=0, shard=False) as service:
             _, headers, _ = fetch(service, "/v1/predict",
                                   {"hex": HEX, "mode": "loop"})
             trace = headers[TRACE_HEADER]

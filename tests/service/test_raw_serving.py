@@ -14,6 +14,7 @@ object model byte for byte and pin the documented error order:
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -24,6 +25,7 @@ from repro.bhive.generator import BlockGenerator
 from repro.core.components import ThroughputMode
 from repro.core.model import Facile
 from repro.isa.block import BasicBlock
+from repro.robustness import FaultPlan, injected
 from repro.service import PredictionService, json_bytes, \
     prediction_to_dict
 from repro.service.serialize import error_envelope_bytes
@@ -63,7 +65,7 @@ def error_message(data):
 
 @pytest.fixture(scope="module")
 def service():
-    with PredictionService(uarch="SKL", port=0, max_wait_ms=1.0) as s:
+    with PredictionService(uarch="SKL", port=0) as s:
         yield s
 
 
@@ -234,8 +236,7 @@ class TestErrorOrder:
         assert message.startswith("deadline exceeded")
 
     def test_lowest_undecodable_before_prediction_failure(self):
-        with PredictionService(uarch="IVB", port=0,
-                               max_wait_ms=1.0) as ivb:
+        with PredictionService(uarch="IVB", port=0) as ivb:
             status, message = self.bulk(ivb.port, {"blocks": [
                 {"hex": AVX2_HEX}, {"hex": "4801d8"}, {"hex": "0f"},
                 {"hex": "48"}]})
@@ -247,6 +248,9 @@ class TestErrorOrder:
 
 
 class TestPredictionFailureIsolation:
+    #: The shard's first call sleeps, so the next requests queue up.
+    BUSY_SHARD = "seed=0; slow@service.shard:0:ms=500"
+
     def test_unpredictable_block_fails_only_its_own_request(self):
         """Two bulk requests in one batching window: the one holding a
         block IVB cannot predict gets a 500, the other its 200."""
@@ -258,28 +262,52 @@ class TestPredictionFailureIsolation:
                 Facile(uarch_by_name("IVB")).predict(block, mode),
                 block, "IVB")],
             "uarch": "IVB"})
-        with PredictionService(uarch="IVB", port=0,
-                               max_wait_ms=500.0) as ivb:
-            ivb.runtime("IVB")  # spawn the shard before the window
-            barrier = threading.Barrier(2)
+        with PredictionService(uarch="IVB", port=0) as ivb, \
+                injected(FaultPlan.from_spec(self.BUSY_SHARD)):
+            batcher = ivb.runtime("IVB").batcher  # spawns the shard
             answers = {}
 
             def send(hex_text):
-                barrier.wait()
                 answers[hex_text] = fetch(ivb.port, "/v1/predict/bulk", {
                     "blocks": [{"hex": hex_text}], "mode": mode.value})
 
+            busy = threading.Thread(target=send, args=("4829d8",))
+            busy.start()
+            deadline = time.monotonic() + 30
+            while batcher.batches < 1 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            # The shard sleeps on the busy window: these two queue and
+            # go out together in the next one.
             threads = [threading.Thread(target=send, args=(hex_text,))
                        for hex_text in (AVX2_HEX, "4801d8")]
             for thread in threads:
                 thread.start()
-            for thread in threads:
+            for thread in [busy] + threads:
                 thread.join()
-            batcher = ivb.stats_payload()["uarchs"]["IVB"]["batcher"]
-        assert (batcher["batches"], batcher["requests"]) == (1, 2)
+            stats = ivb.stats_payload()["uarchs"]["IVB"]["batcher"]
+        assert (stats["batches"], stats["requests"],
+                stats["max_batch_seen"]) == (2, 3, 2)
+        assert answers["4829d8"][0] == 200
         status, headers, data = answers[AVX2_HEX]
         assert (status, data) == (500, error_envelope_bytes(
             500, "internal error", trace=headers["X-Trace-Id"]))
         status, _, data = answers["4801d8"]
         assert status == 200
         assert data.endswith(b',"result":' + expected + b"}")
+
+
+class TestWarm:
+    def test_corpus_larger_than_the_admission_queue(self):
+        """Warm-up goes through the batcher in slices the admission
+        queue takes whole, then every block answers from the fragment
+        cache."""
+        hexes = ["4801d8", "4829d8", "4831d8", "4809d8", "4821d8"]
+        with PredictionService(uarch="SKL", port=0,
+                               max_queue=2) as small:
+            assert small.warm(hexes) == len(hexes) * len(MODES)
+            for hex_text in hexes:
+                for mode in MODES:
+                    status, _, data = fetch(small.port, "/v1/predict", {
+                        "hex": hex_text, "mode": mode.value})
+                    assert status == 200
+                    assert json.loads(data)["meta"]["cache"] == "hit"

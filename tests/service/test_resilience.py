@@ -31,8 +31,7 @@ def raw_error(port, path, data):
 
 @pytest.fixture(scope="module")
 def service():
-    with PredictionService(uarch="SKL", port=0, max_batch=16,
-                           max_wait_ms=2.0) as running:
+    with PredictionService(uarch="SKL", port=0, max_batch=16) as running:
         yield running
 
 
@@ -110,8 +109,7 @@ class TestAdmissionControl:
     def test_overfull_bulk_sheds_as_429_with_retry_after(self):
         # Admission is atomic: a bulk that can never fit the queue is
         # rejected as a unit, with a Retry-After hint for the client.
-        with PredictionService(uarch="SKL", port=0, max_queue=2,
-                               max_wait_ms=2.0) as tiny:
+        with PredictionService(uarch="SKL", port=0, max_queue=2) as tiny:
             client = ServiceClient(port=tiny.port, max_attempts=1)
             with pytest.raises(ServiceError) as exc:
                 client.predict_bulk(["90"] * 8)
@@ -124,8 +122,7 @@ class TestAdmissionControl:
             assert client.health()["shed_total"] == 8
 
     def test_retry_after_is_also_a_header(self):
-        with PredictionService(uarch="SKL", port=0, max_queue=2,
-                               max_wait_ms=2.0) as tiny:
+        with PredictionService(uarch="SKL", port=0, max_queue=2) as tiny:
             body = json.dumps(
                 {"blocks": [{"hex": "90"}] * 8}).encode()
             status, headers, _ = raw_error(tiny.port,

@@ -30,8 +30,7 @@ N_CLIENTS = 32
 
 @pytest.fixture(scope="module")
 def service():
-    with PredictionService(uarch="SKL", port=0, max_batch=16,
-                           max_wait_ms=2.0) as running:
+    with PredictionService(uarch="SKL", port=0, max_batch=16) as running:
         yield running
 
 
@@ -263,7 +262,7 @@ class TestMalformedRequests:
         # deferred to the first request (which would 500 forever).
         with pytest.raises(ValueError):
             PredictionService(uarch="SKL", port=0, max_batch=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # no batching timer to set
             PredictionService(uarch="SKL", port=0, max_wait_ms=-1.0)
         with pytest.raises(ValueError):
             PredictionService(uarch="SKL", port=0, max_bulk=0)

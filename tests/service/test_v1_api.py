@@ -44,7 +44,7 @@ HEX = "4801d8"
 
 @pytest.fixture(scope="module")
 def service():
-    with PredictionService(uarch="SKL", port=0, max_wait_ms=2.0) as s:
+    with PredictionService(uarch="SKL", port=0) as s:
         yield s
 
 

@@ -108,6 +108,28 @@ class TestApiConformance:
         assert any("/phantom" in p and "does not serve" in p
                    for p in problems)
 
+    def flag_table(self, tmp_path, flags):
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        (docs / "SERVICE.md").write_text(
+            "| flag | default | meaning |\n|---|---|---|\n"
+            + "".join(f"| `{flag}` | x | x |\n" for flag in flags))
+        return check_docs.serve_flag_problems(str(tmp_path))
+
+    def test_stale_flag_row_detected(self, tmp_path):
+        problems = self.flag_table(
+            tmp_path, check_docs.serve_flags() + ["--max-wait-ms"])
+        assert problems == ["docs/SERVICE.md: the flag table lists "
+                            "`--max-wait-ms`, which `facile serve` "
+                            "does not accept"]
+
+    def test_undocumented_flag_detected(self, tmp_path):
+        flags = [flag for flag in check_docs.serve_flags()
+                 if flag != "--max-batch"]
+        problems = self.flag_table(tmp_path, flags)
+        assert problems == ["docs/SERVICE.md: `facile serve --max-batch` "
+                            "has no row in the flag table"]
+
     def test_metric_catalog_drift_detected(self, tmp_path):
         docs = tmp_path / "docs"
         docs.mkdir()
