@@ -2,8 +2,8 @@
 
 This bench runs the same measurement kernel as ``scripts/bench.py``
 (columnar single-block, seed-equivalent single-block, cached-batch,
-parallel-batch, and the HTTP service under concurrent bulk clients) on
-the fixed-seed suite.
+and the HTTP service under concurrent bulk clients) on the fixed-seed
+suite.
 Set ``REPRO_BENCH_WRITE=1`` to also refresh ``BENCH_predict.json`` at
 the repository root; by default the payload is written to a temporary
 file only, so plain test runs never clobber the committed baseline with

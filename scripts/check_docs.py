@@ -27,6 +27,10 @@ Checks, over ``README.md`` and every ``docs/*.md``:
    has one ``| `--flag` |`` row per long option of ``facile serve``
    in :func:`repro.cli.build_parser` (``--help`` aside), and no row
    for an option the command does not accept.
+6. **Environment knobs** — every ``REPRO_*`` name in ``src/`` is named
+   in the README or a ``docs/*.md`` page, and every ``REPRO_*`` name
+   those pages mention appears in ``src/`` (a doc cannot advertise a
+   variable the program no longer reads).
 
 Run directly (exits non-zero and lists problems on failure)::
 
@@ -38,7 +42,7 @@ or through the test suite (``tests/test_docs.py``).
 import os
 import re
 import sys
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Set, Tuple
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__),
                                          ".."))
@@ -218,6 +222,34 @@ def metrics_conformance_problems(root: str = REPO_ROOT) -> List[str]:
     return problems
 
 
+#: Environment variables of the program: REPRO_FAULTS, REPRO_LOG, ...
+KNOB_RE = re.compile(r"\bREPRO_[A-Z][A-Z0-9_]*\b")
+
+
+def _knobs_in(path: str) -> Set[str]:
+    with open(path, encoding="utf-8") as handle:
+        return set(KNOB_RE.findall(handle.read()))
+
+
+def knob_problems(root: str = REPO_ROOT) -> List[str]:
+    """Drift between the ``REPRO_*`` names of ``src/`` and those of the
+    README and ``docs/*.md`` (both ways)."""
+    in_src: Set[str] = set()
+    for dirpath, _, names in os.walk(os.path.join(root, "src")):
+        for name in names:
+            if name.endswith(".py"):
+                in_src |= _knobs_in(os.path.join(dirpath, name))
+    by_doc = {os.path.relpath(path, root): _knobs_in(path)
+              for path in markdown_files(root)}
+    documented = set().union(*by_doc.values())
+    problems = [f"src/: `{knob}` is named in neither README.md nor "
+                "docs/*.md" for knob in sorted(in_src - documented)]
+    problems.extend(f"{rel}: names `{knob}`, which appears nowhere in "
+                    "src/" for rel, knobs in by_doc.items()
+                    for knob in sorted(knobs - in_src))
+    return problems
+
+
 def run_checks(root: str = REPO_ROOT) -> List[str]:
     """All problems found across the documentation set (empty = pass)."""
     problems = []
@@ -239,6 +271,7 @@ def run_checks(root: str = REPO_ROOT) -> List[str]:
     problems.extend(api_conformance_problems(root))
     problems.extend(serve_flag_problems(root))
     problems.extend(metrics_conformance_problems(root))
+    problems.extend(knob_problems(root))
     return problems
 
 

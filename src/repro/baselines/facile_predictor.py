@@ -16,21 +16,17 @@ from repro.uops.database import UopsDatabase
 class FacilePredictor(Predictor):
     """The paper's contribution, for side-by-side comparison.
 
-    Predictions are routed through the batch engine: single predictions
-    use the shared analysis cache, and ``predict_many`` additionally fans
-    out over a worker pool when a default worker count is configured
-    (``repro.engine.set_default_workers`` / ``REPRO_ENGINE_WORKERS``).
+    Predictions are routed through the batch engine and its resolved
+    prediction core (columnar by default), in-process.
     """
 
     name = "Facile"
     native_mode = "both"
 
     def __init__(self, cfg: MicroArchConfig,
-                 db: Optional[UopsDatabase] = None,
-                 n_workers: Optional[int] = None, **facile_kwargs):
+                 db: Optional[UopsDatabase] = None, **facile_kwargs):
         super().__init__(cfg, db)
-        self.engine = Engine(cfg, db=self.db, n_workers=n_workers,
-                             **facile_kwargs)
+        self.engine = Engine(cfg, db=self.db, **facile_kwargs)
         self.model = self.engine.model
 
     def predict(self, block: BasicBlock, mode: ThroughputMode) -> float:

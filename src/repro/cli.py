@@ -125,7 +125,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 def _suite(args: argparse.Namespace):
     if getattr(args, "workers", None) is not None:
-        # Opt whole-suite evaluation into the engine's parallel path.
+        # Fan the suite's oracle measurements out over a worker pool.
         engine_mod.set_default_workers(args.workers)
     return default_suite(args.size, args.seed)
 
@@ -207,9 +207,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return 2
     payload = bench_mod.run_perf_harness(
         size=args.size, seed=args.seed, uarchs=uarchs,
-        workers=(args.workers if args.workers is not None
-                 else bench_mod.DEFAULT_WORKERS),
-        include_parallel=not args.no_parallel,
         include_service=not args.no_service)
     print(bench_mod.render_bench(payload))
     bench_mod.write_bench_json(payload, args.output)
@@ -544,9 +541,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=2023)
         cmd.add_argument("--workers", type=_workers_arg,
                          default=None,
-                         help="engine worker processes for suite "
-                              "evaluation (0 = one per CPU; default "
-                              "serial)")
+                         help="worker processes for the suite's oracle "
+                              "measurements (0 = one per CPU; default "
+                              "serial; never changes results)")
         if extra_uarch:
             cmd.add_argument("--uarch", default=None,
                              help="restrict to one microarchitecture")
@@ -557,9 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
                       "(writes BENCH_predict.json)")
     bench.add_argument("--size", type=int, default=bench_mod.DEFAULT_SIZE)
     bench.add_argument("--seed", type=int, default=bench_mod.DEFAULT_SEED)
-    bench.add_argument("--workers", type=_workers_arg,
-                       default=bench_mod.DEFAULT_WORKERS,
-                       help="pool size of the parallel path")
     bench.add_argument("--uarch", action="append", default=None,
                        help="µarch(s) to measure (repeatable; "
                             "default SKL)")
@@ -571,9 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="allowed blocks/sec drop before failing")
     bench.add_argument("--check", action="store_true",
                        help="exit non-zero on regression vs the baseline")
-    bench.add_argument("--no-parallel", action="store_true",
-                       help="skip the parallel path (e.g. on CI without "
-                            "fork)")
     bench.add_argument("--no-service", action="store_true",
                        help="skip the service-path measurement")
     _add_log_level_arg(bench)
@@ -638,8 +629,9 @@ def build_parser() -> argparse.ArgumentParser:
                       default=DEFAULT_MAX_WITNESSES,
                       help="deviations minimized per µarch")
     hunt.add_argument("--workers", type=_workers_arg, default=None,
-                      help="engine worker processes (0 = one per CPU; "
-                           "default serial; never changes results)")
+                      help="worker processes for oracle measurements "
+                           "(0 = one per CPU; default serial; never "
+                           "changes results)")
     hunt.add_argument("--checkpoint", default=None,
                       help="write periodic evaluation checkpoints to "
                            "this file (canonical JSON; atomic writes)")
@@ -674,9 +666,9 @@ def build_parser() -> argparse.ArgumentParser:
                             help="write the generalized canonical JSON "
                                  "report here")
     generalize.add_argument("--workers", type=_workers_arg, default=None,
-                            help="engine worker processes (0 = one per "
-                                 "CPU; default serial; never changes "
-                                 "results)")
+                            help="worker processes for oracle "
+                                 "measurements (0 = one per CPU; default "
+                                 "serial; never changes results)")
     _add_generalize_args(generalize, standalone=True)
     generalize.set_defaults(func=_cmd_generalize)
     return parser

@@ -41,16 +41,14 @@ def speedup_table(cfg: MicroArchConfig, blocks: Sequence[BasicBlock],
     arithmetic mean of per-block speedups (blocks whose throughput is
     entirely due to the idealized component are skipped).
 
-    The base predictions are produced in one batch by the engine (cached
-    and, when a default worker count is configured, parallel); every
+    The base predictions are produced in one batch by the engine; every
     idealization is then a cheap recombination of the batch results.
     """
     # Deferred import: the engine builds on repro.core.
     from repro.engine.engine import Engine
 
     speedups: Dict[Component, List[float]] = {c: [] for c in components}
-    with Engine(cfg) as engine:
-        predictions = engine.predict_many(list(blocks), mode)
+    predictions = Engine(cfg).predict_many(list(blocks), mode)
     for prediction in predictions:
         for component in speedups:
             value = idealized_speedup(prediction, component)

@@ -285,11 +285,7 @@ class Facile:
 
     def predict_many(self, blocks: Iterable[BasicBlock],
                      mode: ThroughputMode) -> List[Prediction]:
-        """Predict every block of a batch (serial, shared analysis cache).
-
-        The parallel counterpart is
-        :meth:`repro.engine.Engine.predict_many`.
-        """
+        """Predict every block of a batch (serial, shared analysis cache)."""
         return [self.predict(block, mode) for block in blocks]
 
     def predict_unrolled(self, block: BasicBlock) -> Prediction:

@@ -9,9 +9,9 @@ discovery loop:
    substitute hooks);
 2. **Evaluate** — fan every selected predictor and the oracle simulator
    over the candidates: Facile goes through
-   :meth:`repro.engine.Engine.predict_many` (shared analysis cache,
-   opt-in worker pool), measurements through
-   :func:`repro.engine.engine.measure_many` when workers are configured;
+   :meth:`repro.engine.Engine.predict_many` (in-process), measurements
+   through :func:`repro.engine.engine.measure_many`'s worker pool when
+   workers are configured;
 3. **Score** — each (block, mode) evaluation gets an interestingness
    score (:mod:`repro.discovery.interestingness`);
 4. **Minimize** — deviating blocks are shrunk by greedy instruction
@@ -23,8 +23,8 @@ discovery loop:
 Everything downstream of the config is deterministic: candidates come
 from one seeded RNG, evaluations are pure functions of block bytes, and
 worker counts change wall-clock only — a campaign run with ``n_workers``
-set produces results identical to a serial run (the engine merges by
-index and measurements are rounded identically on both paths).  The
+set produces results identical to a serial run (``measure_many`` merges
+by index and measurements are rounded identically on both paths).  The
 worker count is therefore an *execution* detail and deliberately not
 part of the campaign report.
 """
@@ -109,8 +109,8 @@ ProgressHook = Callable[[], None]
 class CampaignConfig:
     """Everything that determines a campaign's results.
 
-    ``n_workers`` is the one exception: it selects the engine's parallel
-    path (``None`` = serial, ``0`` = one worker per CPU) but never
+    ``n_workers`` is the one exception: it sizes the oracle-measurement
+    pool (``None`` = serial, ``0`` = one worker per CPU) but never
     changes results, and is excluded from the canonical report.
     """
 
@@ -272,11 +272,11 @@ class CampaignInterrupted(Exception):
 class _Evaluator:
     """Per-µarch fan-out of all selected tools plus the oracle.
 
-    Facile routes through the batch :class:`Engine` (shared
-    ``AnalysisCache``; parallel when workers are configured); baseline
-    analogs share the same :class:`UopsDatabase`; oracle measurements go
-    through :func:`measure_many` on the parallel path and the (equally
-    cached, equally rounded) serial :func:`measure` otherwise.
+    Facile routes through the batch :class:`Engine` (in-process);
+    baseline analogs share the same :class:`UopsDatabase`; oracle
+    measurements go through :func:`measure_many`'s worker pool when
+    workers are configured and the (equally cached, equally rounded)
+    serial :func:`measure` otherwise.
     """
 
     def __init__(self, abbrev: str, predictors: Sequence[str],
@@ -288,7 +288,7 @@ class _Evaluator:
         self.cfg = uarch_by_name(abbrev)
         self.db = UopsDatabase(self.cfg)
         self.n_workers = n_workers
-        self.engine = Engine(self.cfg, db=self.db, n_workers=n_workers)
+        self.engine = Engine(self.cfg, db=self.db)
         self.use_facile = "Facile" in predictors
         self.baselines = [
             GuardedPredictor(predictor)
@@ -416,7 +416,6 @@ class _Evaluator:
     def close(self) -> None:
         if self.checkpoint is not None:
             self.checkpoint.flush()
-        self.engine.close()
 
 
 _Scored = Tuple[Candidate, ThroughputMode, BlockScore]

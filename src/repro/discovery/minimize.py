@@ -6,8 +6,8 @@ shrinks the block body while the deviation persists — the delta-debugging
 step AnICA performs before generalizing a discovery:
 
 * in each round, every single-instruction drop of the current body is
-  evaluated **as one batch** (so the engine's parallel path and shared
-  analysis cache apply);
+  evaluated **as one batch** (so the measurement pool and the
+  engine's caches apply);
 * the first (lowest-index) drop that keeps the interestingness score at
   or above the threshold is accepted, and the round repeats on the
   shorter body;

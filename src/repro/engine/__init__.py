@@ -1,13 +1,13 @@
-"""Batch prediction engine: shared analysis cache + parallel evaluation.
+"""Batch prediction engine: prediction cores, caches, and batching.
 
-The engine has three layers (see the module docstrings for details):
+The package has five modules (see their docstrings for details):
 
 * :mod:`repro.engine.cache` — :class:`BlockAnalysis` objects memoized per
   (block-signature, µarch), shared by every model/predictor that shares a
   uops database;
-* :mod:`repro.engine.engine` — :class:`Engine`, the batch front end with
-  a serial fast path and an opt-in ``multiprocessing`` pool shipping
-  compact picklable payloads to workers;
+* :mod:`repro.engine.engine` — :class:`Engine`, the batch front end that
+  calls its prediction core in-process, and ``measure_many``, the
+  ``multiprocessing`` pool of oracle measurements;
 * :mod:`repro.engine.columnar` — :class:`ColumnarCore`, the
   template-compiled prediction core (the engine's default), bit-for-bit
   equal to the :class:`~repro.core.model.Facile` object model;
@@ -32,7 +32,6 @@ __all__ = [
     "ColumnarCore",
     "Engine",
     "MicroBatcher",
-    "ModelSpec",
     "default_workers",
     "resolve_core",
     "set_default_workers",
@@ -40,7 +39,6 @@ __all__ = [
 
 _LAZY = {
     "Engine": "repro.engine.engine",
-    "ModelSpec": "repro.engine.engine",
     "ALL_MODES": "repro.engine.engine",
     "default_workers": "repro.engine.engine",
     "set_default_workers": "repro.engine.engine",

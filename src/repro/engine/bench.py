@@ -11,7 +11,6 @@ second, for the engine's paths on a fixed-seed generated suite:
   stream: analysis re-derived on every call, no memoization;
 * ``cached``   — the object model's serial batch path in its steady
   state (shared :class:`~repro.engine.cache.AnalysisCache`);
-* ``parallel`` — the engine's ``multiprocessing`` pool path, cold;
 * ``service``  — the HTTP prediction service in its steady state:
   concurrent bulk-predict clients against an in-process
   ``facile serve`` (sharded async front-end + response-fragment cache),
@@ -34,7 +33,6 @@ latency percentiles)::
     {
       "schema": 4,
       "suite": {"size": ..., "seed": ...},
-      "workers": ...,            # pool size of the parallel path
       "service_clients": ...,    # concurrent clients of the service path
       "cpu_count": ...,          # cores of the measuring machine
       "results": {
@@ -51,7 +49,6 @@ latency percentiles)::
       "speedups": {
         "<uarch>": {"<mode>": {"single_vs_single_object": ...,
                                 "cached_vs_single_object": ...,
-                                "parallel_vs_single_object": ...,
                                 "service_vs_single_object": ...}}
       }
     }
@@ -60,21 +57,20 @@ latency percentiles)::
 finished (``ru_maxrss``), so later paths report equal-or-larger values;
 ``metrics`` is the flat counter delta (``name{labels}`` -> movement)
 the path produced in the observability registry.  Both are bench-record
-extras: the regression gate reads ``blocks_per_sec`` only.
+extras: the regression gate reads ``blocks_per_sec`` only.  Older
+schema-4 files also carry a ``workers`` field and ``parallel`` entries
+(a since-deleted prediction pool); the gate ignores both.
 
 ``single_vs_single_object`` is the headline number: how much faster the
 columnar core predicts *never-seen* blocks than the pre-engine per-call
 path (the ≥5× acceptance gate of the columnar rewrite).
 ``cached_vs_single_object`` tracks the steady-state batch regime
-(ablation/counterfactual/variant sweeps); ``parallel_vs_single_object``
-depends on the machine's core count — on single-core CI it is expected
-to be < 1 (pool overhead with no parallel hardware) and is reported for
-the trajectory, not gated.
+(ablation/counterfactual/variant sweeps).
 
 Regression gating compares ``blocks_per_sec`` per (µarch, mode) for the
 ``single``, ``single_object``, and ``cached`` paths against a committed
 baseline and fails on a drop beyond the tolerance (default 20%); the
-``parallel`` number is recorded but not gated (see :data:`GATED_PATHS`).
+``service`` number is recorded but not gated (see :data:`GATED_PATHS`).
 Only same-machine, same-schema comparisons are meaningful; the
 committed baseline tracks the repository's CI machine.
 """
@@ -97,14 +93,13 @@ from repro.uarch import uarch_by_name
 DEFAULT_SIZE = 80
 DEFAULT_SEED = 2023
 DEFAULT_UARCHS = ("SKL",)
-DEFAULT_WORKERS = 2
 DEFAULT_TOLERANCE = 0.20
 
 #: Concurrent bulk-predict clients of the service load generator.
 DEFAULT_SERVICE_CLIENTS = 8
 
 #: Paths measured by the harness.
-PATHS = ("single", "single_object", "cached", "parallel", "service")
+PATHS = ("single", "single_object", "cached", "service")
 
 _PATHS_MEASURED = metrics.counter(
     "facile_bench_paths_total",
@@ -115,8 +110,6 @@ _PATHS_MEASURED = metrics.counter(
 def run_perf_harness(size: int = DEFAULT_SIZE, seed: int = DEFAULT_SEED,
                      uarchs: Sequence[str] = DEFAULT_UARCHS,
                      modes: Optional[Sequence[ThroughputMode]] = None,
-                     workers: int = DEFAULT_WORKERS,
-                     include_parallel: bool = True,
                      include_service: bool = True,
                      service_clients: int = DEFAULT_SERVICE_CLIENTS,
                      ) -> Dict:
@@ -142,10 +135,8 @@ def run_perf_harness(size: int = DEFAULT_SIZE, seed: int = DEFAULT_SEED,
                                     "facile_bench_paths_total",
                                     path=path)))
 
-            timings = time_prediction_paths(
-                cfg, suite, mode, workers=workers,
-                include_parallel=include_parallel,
-                progress=path_done)
+            timings = time_prediction_paths(cfg, suite, mode,
+                                            progress=path_done)
             service_latency = None
             if include_service:
                 counters = metrics.REGISTRY.counters_flat()
@@ -177,7 +168,7 @@ def run_perf_harness(size: int = DEFAULT_SIZE, seed: int = DEFAULT_SEED,
             # raw seconds.
             base_bps = timings["single_object"].blocks_per_sec
             mode_speedups = {}
-            for path in ("single", "cached", "parallel", "service"):
+            for path in ("single", "cached", "service"):
                 if path in timings and base_bps > 0:
                     mode_speedups[f"{path}_vs_single_object"] = round(
                         timings[path].blocks_per_sec / base_bps, 2)
@@ -186,7 +177,6 @@ def run_perf_harness(size: int = DEFAULT_SIZE, seed: int = DEFAULT_SEED,
     return {
         "schema": 4,
         "suite": {"size": size, "seed": seed},
-        "workers": workers,
         "service_clients": (service_clients if include_service else None),
         "cpu_count": os.cpu_count(),
         "results": results,
@@ -291,9 +281,8 @@ def load_bench_json(path: str) -> Optional[Dict]:
         return None
 
 
-#: Paths the regression gate enforces.  ``parallel`` is recorded for
-#: the trajectory but not gated: it scales with the machine's core
-#: count and, on small CI boxes, is dominated by pool start-up noise.
+#: Paths the regression gate enforces (``service`` is recorded for the
+#: trajectory only).
 GATED_PATHS = ("single", "single_object", "cached")
 
 
@@ -368,7 +357,6 @@ def render_bench(payload: Dict) -> str:
     """Human-readable table of one harness run."""
     lines = [f"suite size {payload['suite']['size']} "
              f"(seed {payload['suite']['seed']}), "
-             f"{payload['workers']} workers, "
              f"{payload.get('cpu_count')} cpus",
              f"{'µarch':<6} {'mode':<9} {'path':<9} "
              f"{'blocks/s':>10} {'speedup':>9}"]

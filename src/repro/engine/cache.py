@@ -14,10 +14,9 @@ Cache-key design
 
 * The **block signature** is the block's raw byte encoding
   (``block.raw``).  Two blocks with equal bytes decode to equal
-  instruction streams, so every derived artifact is identical — this is
-  what lets the parallel engine ship compact ``(index, raw bytes)``
-  payloads to worker processes and still produce results identical to
-  the in-process path.
+  instruction streams, so every derived artifact is identical — a block
+  rebuilt from its bytes (``BasicBlock.from_bytes``) hits the entry of
+  the original.
 * The **µarch dimension** is implicit: an :class:`AnalysisCache` is owned
   by one :class:`~repro.uops.database.UopsDatabase` (and therefore one
   :class:`~repro.uarch.config.MicroArchConfig`).  Callers that share a

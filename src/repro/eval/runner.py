@@ -39,9 +39,10 @@ def measured_suite(suite: BenchmarkSuite, cfg: MicroArchConfig,
                    n_workers: Optional[int] = None) -> List[float]:
     """Oracle measurements for the whole suite (cached per block).
 
-    When a worker count is given — or a process-wide engine default is
-    configured — the cycle-level simulations fan out over a pool, which
-    is where most of a full-suite evaluation's wall-clock goes.
+    When a worker count is given — or a process-wide default is set
+    (``repro.engine.set_default_workers``, the CLI's ``--workers``) —
+    the cycle-level simulations fan out over ``measure_many``'s pool,
+    which is where most of a full-suite evaluation's wall-clock goes.
     """
     from repro.engine.engine import default_workers, measure_many
     from repro.uarch import uarch_by_name
@@ -69,8 +70,8 @@ def evaluate_predictor(predictor, suite: BenchmarkSuite,
     """Run one predictor over the suite and pair it with measurements.
 
     The suite is predicted as one batch via ``predictor.predict_many``,
-    which lets engine-backed predictors share analyses and fan out over
-    worker processes; plain predictors fall back to a serial loop.
+    which lets engine-backed predictors share analyses; plain predictors
+    fall back to a serial loop.
     """
     cfg = predictor.cfg
     loop = mode is ThroughputMode.LOOP

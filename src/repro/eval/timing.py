@@ -24,7 +24,6 @@ from repro.core.components import (
 )
 from repro.core.model import Facile
 from repro.engine.cache import AnalysisCache
-from repro.engine.engine import Engine
 from repro.isa.block import BasicBlock
 from repro.obs import metrics as obs_metrics
 from repro.uarch.config import MicroArchConfig
@@ -150,8 +149,8 @@ class PathTiming:
     """Wall-clock of one prediction path over a suite.
 
     Attributes:
-        path: ``"single"``, ``"single_object"``, ``"cached"``,
-            ``"parallel"``, or ``"service"``.
+        path: ``"single"``, ``"single_object"``, ``"cached"``, or
+            ``"service"``.
         n_blocks: number of blocks predicted in the timed pass.
         seconds: wall-clock of the timed pass.
         peak_rss_kb: the process's peak resident set (kilobytes) when
@@ -247,8 +246,6 @@ def payload_variant_stream(raws: Sequence[bytes],
 
 def time_prediction_paths(cfg: MicroArchConfig, suite: BenchmarkSuite,
                           mode: ThroughputMode, *,
-                          workers: int = 2,
-                          include_parallel: bool = True,
                           progress: Optional[Callable[[str], None]] = None,
                           ) -> Dict[str, PathTiming]:
     """Blocks/sec of the engine paths on one (µarch, mode).
@@ -270,10 +267,6 @@ def time_prediction_paths(cfg: MicroArchConfig, suite: BenchmarkSuite,
       state: the suite was evaluated once to warm the shared cache, and
       the timed pass measures repeated evaluation (the ablation /
       counterfactual / multi-variant regime).
-    * ``parallel`` — the engine's pool path, cold: compact payloads are
-      shipped to *workers* processes which decode, analyze, and predict,
-      results merged by index.  Includes pool start-up, so it reflects
-      what a fresh parallel suite evaluation costs end to end.
     """
     from repro.core.ports import clear_ports_memo
     from repro.engine.columnar import ColumnarCore
@@ -326,9 +319,7 @@ def time_prediction_paths(cfg: MicroArchConfig, suite: BenchmarkSuite,
     record(PathTiming("single_object", len(variants),
                       time.perf_counter() - start), counters)
 
-    # -- cached batch path (warm shared cache, serial by construction:
-    # going through Engine here would inherit the process-wide worker
-    # default and silently measure the pool instead) -------------------
+    # -- cached batch path (the object model's warm shared cache) -------
     blocks = [BasicBlock.from_bytes(raw) for raw in raws]
     warm_db = UopsDatabase(cfg)
     warm_model = Facile(cfg, db=warm_db, cache=AnalysisCache(warm_db))
@@ -338,17 +329,4 @@ def time_prediction_paths(cfg: MicroArchConfig, suite: BenchmarkSuite,
     warm_model.predict_many(blocks, mode)
     record(PathTiming("cached", len(blocks),
                       time.perf_counter() - start), counters)
-
-    # -- parallel batch path (cold pool) -------------------------------
-    if include_parallel:
-        # Workers are forked from this process: drop the warm Ports memo
-        # so they start as cold as a fresh parallel evaluation would.
-        clear_ports_memo()
-        with Engine(cfg, db=UopsDatabase(cfg),
-                    n_workers=workers) as parallel_engine:
-            counters = obs_metrics.REGISTRY.counters_flat()
-            start = time.perf_counter()
-            parallel_engine.predict_many(blocks, mode)
-            record(PathTiming("parallel", len(blocks),
-                              time.perf_counter() - start), counters)
     return results

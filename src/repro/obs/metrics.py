@@ -467,10 +467,6 @@ METRIC_CATALOG: Dict[str, Tuple[str, str]] = {
         (COUNTER, "Shard worker processes respawned after a crash, by uarch"),
     "facile_shard_fallback_total":
         (COUNTER, "Blocks served by the in-process fallback engine, by uarch"),
-    "facile_engine_pool_respawns_total":
-        (COUNTER, "Engine worker pools torn down and respawned"),
-    "facile_engine_tasks_retried_total":
-        (COUNTER, "Engine tasks retried after a worker failure"),
     "facile_breaker_open_total":
         (COUNTER, "Circuit breaker trips (CLOSED/HALF_OPEN -> OPEN), by breaker"),
     "facile_retries_total":

@@ -1,7 +1,7 @@
 """Fault tolerance: typed failures, breakers, retries, fault injection.
 
 The robustness layer hardens every execution path of the repo — the
-batch engine's worker pool, the baseline predictors, the HTTP service,
+batch engine's measurement pool, the baseline predictors, the HTTP service,
 and the discovery campaigns — and ships the deterministic chaos harness
 that proves the hardening works:
 
@@ -29,7 +29,6 @@ from repro.robustness.breaker import (
 from repro.robustness.errors import (
     CircuitOpenError,
     DeadlineExceeded,
-    EngineTaskError,
     FaultInjected,
     PredictorError,
     QueueFullError,
@@ -52,7 +51,6 @@ __all__ = [
     "DEFAULT_COOLDOWN",
     "DEFAULT_FAILURE_THRESHOLD",
     "DeadlineExceeded",
-    "EngineTaskError",
     "Fault",
     "FaultInjected",
     "FaultPlan",

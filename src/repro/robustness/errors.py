@@ -3,9 +3,10 @@
 Every mechanism in :mod:`repro.robustness` reports failures through
 these types instead of letting raw exceptions escape:
 
-* :class:`PredictorError` — a *result slot*: what the engine merges
-  into a batch result when one task exhausted its retries, so a single
-  failing block degrades one entry instead of aborting the batch;
+* :class:`PredictorError` — a *result slot*: what
+  ``Engine.predict_many(..., on_error="record")`` puts in place of a
+  block whose prediction raised, so a single failing block degrades
+  one entry instead of aborting the batch;
 * :class:`CircuitOpenError` — raised when a circuit breaker refuses a
   call; carries the breaker name and remaining cooldown so callers can
   record a typed skip;
@@ -24,8 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 #: The failure kinds a :class:`PredictorError` can carry.
-ERROR_KINDS = ("timeout", "worker_crash", "exception", "circuit_open",
-               "injected")
+ERROR_KINDS = ("exception", "circuit_open", "injected")
 
 
 @dataclass(frozen=True)
@@ -49,17 +49,6 @@ class PredictorError:
         """A JSON-ready rendering (used by reports and responses)."""
         return {"error": self.kind, "detail": self.detail,
                 "attempts": self.attempts}
-
-
-class EngineTaskError(Exception):
-    """Raised by ``Engine.predict_many(..., on_error="raise")`` when a
-    task failed after all retries; wraps the :class:`PredictorError`."""
-
-    def __init__(self, error: PredictorError):
-        super().__init__(
-            f"engine task {error.index} failed after {error.attempts} "
-            f"attempt(s): [{error.kind}] {error.detail}")
-        self.error = error
 
 
 class CircuitOpenError(Exception):

@@ -2,7 +2,7 @@
 
 A :class:`FaultPlan` decides, purely as a function of its seed and its
 fault clauses, which *calls* at which *sites* fail and how.  A site is a
-dotted name for one instrumented call point (``engine.task``,
+dotted name for one instrumented call point (``engine.measure``,
 ``predictor.llvm-mca-15``, ``service.predict``); every site keeps its own
 monotonic call counter, and a clause either names explicit call indices
 or a probability that is resolved by hashing ``(seed, kind, site,
@@ -18,9 +18,9 @@ Plans are activated three ways:
 
 Spec syntax (clauses separated by ``;``, see ``docs/ROBUSTNESS.md``)::
 
-    REPRO_FAULTS="seed=7; worker_kill@engine.task:2,5; \
+    REPRO_FAULTS="seed=7; worker_kill@engine.measure:2,5; \
                   predictor_error@predictor.*:p=0.1; \
-                  timeout@engine.task:3; slow@service./v1/predict:0:ms=20"
+                  timeout@engine.measure:3; slow@service./v1/predict:0:ms=20"
 
 Fault kinds:
 
@@ -32,11 +32,12 @@ Fault kinds:
 ``slow``           the call sleeps ``ms`` milliseconds, then succeeds
 =================  =====================================================
 
-Instrumented code draws faults with :meth:`FaultPlan.check` (engine
-dispatch, which forwards the fault to the worker as part of the task
-payload) or acts them out in-process with :func:`maybe_inject`
-(predictor and service sites).  A drawn fault is consumed: the engine
-clears it from retried payloads, so recovery always converges.
+Instrumented code draws faults with :meth:`FaultPlan.check` (measurement
+pool and shard dispatch, which forward the fault to the worker as part
+of the task payload) or acts them out in-process with :func:`maybe_inject`
+(predictor and service sites).  A drawn fault is consumed: the
+in-process fallback that recovers a lost task runs without it, so
+recovery always converges.
 """
 
 from __future__ import annotations

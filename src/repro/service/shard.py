@@ -26,15 +26,14 @@ compiled entry.  The same function serves every backend — the worker,
 the in-process fallback, and ``facile serve --no-shard``
 (:class:`LocalShard`) — so all three answer the same bytes.
 
-Fault tolerance mirrors the engine pool: a dead or hung worker fails
-the in-flight request with :class:`ShardCrash`, the proxy respawns the
-process and retries once with faults cleared, and if the respawn also
-fails it falls back to a lazily-built in-process :class:`LocalShard`
-— same bytes, reduced isolation.  The deterministic fault harness
-reaches the shard via the :data:`SHARD_SITE` site (``REPRO_FAULTS``
-clauses matching ``service.shard``); drawn faults are shipped to the
-worker and acted out there (``worker_kill`` exits the worker, ``slow``
-sleeps).
+Fault tolerance: a dead or hung worker fails the in-flight request
+with :class:`ShardCrash`, the proxy respawns the process and retries
+once with faults cleared, and if the respawn also fails it falls back
+to a lazily-built in-process :class:`LocalShard` — same bytes, reduced
+isolation.  The deterministic fault harness reaches the shard via the
+:data:`SHARD_SITE` site (``REPRO_FAULTS`` clauses matching
+``service.shard``); drawn faults are shipped to the worker and acted
+out there (``worker_kill`` exits the worker, ``slow`` sleeps).
 """
 
 from __future__ import annotations
@@ -301,9 +300,9 @@ class ShardEngine:
         """:func:`predict_fragments` in the worker, one result per payload.
 
         A crashed/hung worker triggers one respawn-and-retry (faults
-        cleared, mirroring the engine pool's recovery contract); if the
-        fresh worker fails too, the request is served by an in-process
-        fallback :class:`LocalShard`.
+        cleared, so recovery converges); if the fresh worker fails too,
+        the request is served by an in-process fallback
+        :class:`LocalShard`.
 
         *traces* (optional, one per payload) are per-request trace ids
         shipped in the IPC message so the worker can log them; they

@@ -64,8 +64,8 @@ def cached_measurement(block: BasicBlock, cfg: MicroArchConfig,
 
 def store_measurement(block: BasicBlock, cfg: MicroArchConfig,
                       mode: ThroughputMode, cycles: float) -> None:
-    """Insert an externally produced measurement (e.g. from the engine's
-    worker pool) into the process-wide cache."""
+    """Insert an externally produced measurement (e.g. from
+    ``measure_many``'s worker pool) into the process-wide cache."""
     _CACHE[(block.raw, cfg.abbrev, mode.value)] = cycles
 
 

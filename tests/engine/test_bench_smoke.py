@@ -15,8 +15,7 @@ from repro.eval.timing import VARIANT_PASSES
 @pytest.mark.perf
 def test_perf_harness_smoke(tmp_path):
     payload = bench_mod.run_perf_harness(
-        size=12, uarchs=("SKL",), modes=[ThroughputMode.LOOP],
-        workers=1)
+        size=12, uarchs=("SKL",), modes=[ThroughputMode.LOOP])
     by_path = payload["results"]["SKL"]["loop"]
     assert set(by_path) == set(bench_mod.PATHS)
     for path, numbers in by_path.items():
@@ -34,7 +33,7 @@ def test_perf_harness_smoke(tmp_path):
     assert bench_mod.find_regressions(payload, reloaded) == []
 
     # A synthetic 10x slowdown must trip the 20% gate on the gated
-    # paths; the noisy parallel path is recorded but never gated.
+    # paths; the service path is recorded but never gated.
     # ``schema`` must match: comparable() refuses cross-schema gating.
     slow = {"suite": payload["suite"], "schema": payload["schema"],
             "results": {"SKL": {"loop": {

@@ -50,7 +50,6 @@ class TestEngineRouting:
         engine = Engine(SKL)
         assert engine.core == "columnar"
         assert isinstance(engine.predictor, ColumnarCore)
-        assert engine.spec.core == "columnar"
 
     def test_object_pin(self):
         engine = Engine(SKL, core="object")
@@ -76,14 +75,6 @@ class TestEngineRouting:
             for block in blocks:
                 assert columnar.predict(block, mode) \
                     == reference.predict(block, mode)
-
-    def test_parallel_columnar_identical_to_serial(self, blocks):
-        serial = Engine(SKL, core="columnar")
-        expected = serial.predict_many(blocks, ThroughputMode.LOOP)
-        with Engine(SKL, core="columnar", n_workers=2) as engine:
-            assert engine.spec.core == "columnar"
-            assert engine.predict_many(blocks, ThroughputMode.LOOP) \
-                == expected
 
     def test_variant_engines_route_through_columnar(self, blocks):
         kwargs = dict(simple_predec=True, simple_dec=True,

@@ -11,10 +11,10 @@ import pytest
 
 from repro.bhive.suite import BenchmarkSuite
 from repro.core.components import ThroughputMode
-from repro.engine.engine import Engine
+from repro.engine.engine import measure_many
 from repro.robustness import FaultPlan, active_plan, injected
 from repro.service import PredictionService, ServiceClient
-from repro.service.serialize import json_bytes, prediction_to_dict
+from repro.sim.measure import clear_cache, measure
 from repro.uarch import uarch_by_name
 
 SKL = uarch_by_name("SKL")
@@ -22,7 +22,7 @@ MODE = ThroughputMode.LOOP
 
 #: The plan used when the environment does not provide one: a worker
 #: kill, a predictor blip, and some service latency — all recoverable.
-DEFAULT_PLAN = ("seed=0; worker_kill@engine.task:1; "
+DEFAULT_PLAN = ("seed=0; worker_kill@engine.measure:1; "
                 "predictor_error@predictor.*:0; "
                 "slow@service.*:p=0.2:ms=2")
 
@@ -54,21 +54,18 @@ def blocks():
 @pytest.fixture(scope="module")
 def golden(blocks):
     with injected(None):
-        with Engine(SKL) as engine:
-            predictions = engine.predict_many(blocks, MODE)
-    return json_bytes({"results": [
-        prediction_to_dict(prediction, block, "SKL")
-        for prediction, block in zip(predictions, blocks)]})
+        return [measure(block, SKL, MODE, use_cache=False)
+                for block in blocks]
 
 
 def test_parallel_engine_recovers_under_faults(blocks, golden):
+    # A cold cache makes every block a pool task, so the plan's worker
+    # kill really fires.
+    clear_cache()
     with injected(chaos_plan()):
-        with Engine(SKL, n_workers=2, task_timeout=1.5,
-                    chunksize=2) as engine:
-            results = engine.predict_many(blocks, MODE)
-    assert json_bytes({"results": [
-        prediction_to_dict(prediction, block, "SKL")
-        for prediction, block in zip(results, blocks)]}) == golden
+        measured = measure_many(SKL, blocks, MODE, n_workers=2,
+                                task_timeout=1.5)
+    assert measured == golden
 
 
 def test_service_bulk_identical_under_faults(blocks):

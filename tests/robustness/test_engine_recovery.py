@@ -1,25 +1,25 @@
-"""Engine fault tolerance: crashes, hangs, retries, typed failures.
+"""Engine fault tolerance: measurement-pool recovery, typed failures.
 
-The headline property: a parallel batch that suffered injected worker
-kills and task exceptions recovers to results *byte-identical* to a
-fault-free serial run — retries and the in-process fallback make worker
-death an execution detail, never a results change.
+The headline property: a pooled ``measure_many`` batch that suffered
+injected worker kills and task exceptions recovers to values identical
+to a fault-free serial run — the in-process fallback makes worker death
+an execution detail, never a results change.  Every test starts from a
+cold measurement cache, so the pool really runs, and counts the
+measurements the parent had to take over.
 """
+
+import importlib
 
 import pytest
 
 from repro.bhive.suite import BenchmarkSuite
 from repro.core.components import ThroughputMode
 from repro.engine.engine import Engine, measure_many
-from repro.robustness import (
-    EngineTaskError,
-    FaultPlan,
-    PredictorError,
-    injected,
-)
-from repro.service.serialize import json_bytes, prediction_to_dict
-from repro.sim.measure import measure
+from repro.robustness import FaultPlan, PredictorError, injected
 from repro.uarch import uarch_by_name
+
+# The module, not the function ``repro.sim`` re-exports under its name.
+sim_measure = importlib.import_module("repro.sim.measure")
 
 SKL = uarch_by_name("SKL")
 MODE = ThroughputMode.LOOP
@@ -30,82 +30,60 @@ def blocks():
     return [b.block_l for b in BenchmarkSuite.generate(8, seed=5)]
 
 
-def result_bytes(results, blocks):
-    return json_bytes({"results": [
-        prediction_to_dict(prediction, block, "SKL")
-        for prediction, block in zip(results, blocks)]})
-
-
 @pytest.fixture(scope="module")
 def golden(blocks):
     with injected(None):
-        with Engine(SKL) as engine:
-            return result_bytes(engine.predict_many(blocks, MODE),
-                                blocks)
+        return [sim_measure.measure(block, SKL, MODE, use_cache=False)
+                for block in blocks]
+
+
+@pytest.fixture
+def parent_measurements(monkeypatch):
+    """Empty the measurement cache, then record every block this
+    process measures (forked workers count in their own copy)."""
+    sim_measure.clear_cache()
+    measured = []
+    real = sim_measure.measure
+
+    def counting(block, *args, **kwargs):
+        measured.append(block.raw)
+        return real(block, *args, **kwargs)
+
+    monkeypatch.setattr(sim_measure, "measure", counting)
+    return measured
+
+
+def pooled(blocks, spec):
+    with injected(FaultPlan.from_spec(spec)):
+        return measure_many(SKL, blocks, MODE, n_workers=2,
+                            task_timeout=1.5)
 
 
 class TestCrashRecovery:
     def test_worker_kill_and_exception_recover_byte_identical(
-            self, blocks, golden):
-        # Small chunks + a short timeout: a killed worker's chunk is
-        # declared lost after chunksize * task_timeout seconds, so the
-        # test exercises the requeue path without waiting long.
-        plan = FaultPlan.from_spec(
-            "seed=0; worker_kill@engine.task:2; "
-            "predictor_error@engine.task:5")
-        with injected(plan):
-            with Engine(SKL, n_workers=2, task_timeout=1.5,
-                        chunksize=2) as engine:
-                results = engine.predict_many(blocks, MODE)
-        assert result_bytes(results, blocks) == golden
-        assert engine.tasks_retried > 0
-        assert engine.pool_respawns >= 1
-        assert engine.tasks_failed == 0
+            self, blocks, golden, parent_measurements):
+        # The kill is noticed when the pool misses its 1.5 s deadline;
+        # the exception surfaces from the result iterator.  Either way
+        # the parent measures what the pool did not deliver.
+        measured = pooled(blocks, "seed=0; worker_kill@engine.measure:2; "
+                                  "predictor_error@engine.measure:5")
+        assert measured == golden
+        assert blocks[2].raw in parent_measurements
+        assert len(parent_measurements) < len(blocks)
 
-    def test_repeated_kills_still_converge(self, blocks, golden):
-        # Retried tasks get their fault cleared, so even a plan that
-        # kills several first-round tasks converges to golden results.
-        plan = FaultPlan.from_spec("seed=0; worker_kill@engine.task:0,3")
-        with injected(plan):
-            with Engine(SKL, n_workers=2, task_timeout=1.5,
-                        chunksize=2) as engine:
-                results = engine.predict_many(blocks, MODE)
-        assert result_bytes(results, blocks) == golden
+    def test_repeated_kills_still_converge(self, blocks, golden,
+                                           parent_measurements):
+        measured = pooled(blocks, "seed=0; worker_kill@engine.measure:0,3")
+        assert measured == golden
+        assert blocks[0].raw in parent_measurements
 
 
 class TestTypedFailures:
-    def test_timeout_records_typed_error_slot(self, blocks):
-        # chunksize=1 so exactly the hung task's slot degrades;
-        # max_task_retries=0 so the test does not wait out retries.
-        plan = FaultPlan.from_spec("seed=0; timeout@engine.task:2")
-        with injected(plan):
-            with Engine(SKL, n_workers=2, task_timeout=1.0,
-                        max_task_retries=0, chunksize=1) as engine:
-                results = engine.predict_many(blocks, MODE,
-                                              on_error="record")
-        error = results[2]
-        assert isinstance(error, PredictorError)
-        assert error.kind == "timeout"
-        assert error.index == 2
-        assert error.to_dict()["error"] == "timeout"
-        assert engine.tasks_failed == 1
-        assert all(not isinstance(r, PredictorError)
-                   for i, r in enumerate(results) if i != 2)
-
-    def test_timeout_raises_engine_task_error_by_default(self, blocks):
-        plan = FaultPlan.from_spec("seed=0; timeout@engine.task:1")
-        with injected(plan):
-            with Engine(SKL, n_workers=2, task_timeout=1.0,
-                        max_task_retries=0, chunksize=1) as engine:
-                with pytest.raises(EngineTaskError) as exc:
-                    engine.predict_many(blocks, MODE)
-        assert exc.value.error.kind == "timeout"
-
     def test_serial_record_path_degrades_one_slot(self, blocks,
                                                   monkeypatch):
         engine = Engine(SKL)
-        # The serial path predicts through whichever core the engine
-        # resolved (columnar by default), so inject there.
+        # predict_many runs through whichever core the engine resolved
+        # (columnar by default), so inject there.
         real = engine.predictor.predict
         def flaky(block, mode):
             if block.raw == blocks[3].raw:
@@ -121,18 +99,14 @@ class TestTypedFailures:
     def test_on_error_validation(self, blocks):
         with pytest.raises(ValueError):
             Engine(SKL).predict_many(blocks, MODE, on_error="ignore")
-        with pytest.raises(ValueError):
-            Engine(SKL, task_timeout=0.0)
-        with pytest.raises(ValueError):
-            Engine(SKL, max_task_retries=-1)
 
 
 class TestMeasureRecovery:
-    def test_measure_many_survives_worker_kill(self, blocks):
-        with injected(None):
-            serial = [measure(block, SKL, MODE) for block in blocks]
-        plan = FaultPlan.from_spec("seed=0; worker_kill@engine.measure:1")
-        with injected(plan):
-            measured = measure_many(SKL, blocks, MODE, n_workers=2,
-                                    task_timeout=5.0)
-        assert measured == serial
+    def test_measure_many_survives_worker_kill(self, blocks, golden,
+                                               parent_measurements):
+        measured = pooled(blocks, "seed=0; worker_kill@engine.measure:1")
+        assert measured == golden
+        # The parent measured the killed block; the pool delivered at
+        # least one of the others.
+        assert blocks[1].raw in parent_measurements
+        assert len(parent_measurements) < len(blocks)

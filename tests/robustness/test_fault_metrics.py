@@ -3,9 +3,8 @@
 A seeded :class:`FaultPlan` (the same object ``REPRO_FAULTS`` parses
 into) injects an exactly-known fault sequence; the observability
 counters must match that plan *exactly* — one retry backoff per
-absorbed fault, one breaker-open per trip, one engine task retry per
-killed worker.  Anything else means the counters double-count or miss
-recovery paths.
+absorbed fault, one breaker-open per trip.  Anything else means the
+counters double-count or miss recovery paths.
 """
 
 import random
@@ -14,17 +13,13 @@ import pytest
 
 from repro.core.components import ThroughputMode
 from repro.baselines.base import GuardedPredictor
-from repro.bhive.suite import BenchmarkSuite
-from repro.engine.engine import Engine
 from repro.obs import metrics
 from repro.robustness import FaultPlan, injected
 from repro.robustness.breaker import CircuitBreaker
 from repro.robustness.errors import FaultInjected
 from repro.robustness.retry import RetryPolicy
-from repro.uarch import uarch_by_name
 
 MODE = ThroughputMode.LOOP
-SKL = uarch_by_name("SKL")
 
 
 class _StubPredictor:
@@ -118,27 +113,3 @@ class TestBreakerCounter:
         assert _breaker_opens("probe") - before == 2
         assert breaker.times_opened == 2
 
-
-class TestEngineCounters:
-    def test_worker_kill_moves_the_task_retry_counter(self):
-        blocks = [b.block_l for b in BenchmarkSuite.generate(4, seed=17)]
-        plan = FaultPlan.from_spec("seed=0; worker_kill@engine.task:1")
-        before = metrics.counter_value(
-            "facile_engine_tasks_retried_total")
-        respawns_before = metrics.counter_value(
-            "facile_engine_pool_respawns_total")
-        with injected(plan):
-            with Engine(SKL, n_workers=2, task_timeout=5.0,
-                        chunksize=1) as engine:
-                engine.predict_many(blocks, MODE)
-                engine_retried = engine.tasks_retried
-                engine_respawns = engine.pool_respawns
-        # The registry moved in lockstep with the engine's own
-        # telemetry: exactly one retried task for the one killed
-        # worker, and one respawn count per pool teardown.
-        assert engine_retried == 1
-        assert metrics.counter_value(
-            "facile_engine_tasks_retried_total") - before == 1
-        assert metrics.counter_value(
-            "facile_engine_pool_respawns_total") - respawns_before \
-            == engine_respawns

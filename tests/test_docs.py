@@ -157,6 +157,28 @@ class TestApiConformance:
         assert problems == ["docs/OBSERVABILITY.md is missing "
                             "(the observability reference)"]
 
+    def knob_tree(self, tmp_path, source, readme):
+        package = tmp_path / "src" / "pkg"
+        package.mkdir(parents=True)
+        (package / "mod.py").write_text(source)
+        (tmp_path / "README.md").write_text(readme)
+        return check_docs.knob_problems(str(tmp_path))
+
+    def test_undocumented_knob_detected(self, tmp_path):
+        problems = self.knob_tree(
+            tmp_path, 'os.environ.get("REPRO_LOG")\n'
+                      'os.environ.get("REPRO_HIDDEN_KNOB")\n',
+            "set `REPRO_LOG=debug` for more output\n")
+        assert problems == ["src/: `REPRO_HIDDEN_KNOB` is named in "
+                            "neither README.md nor docs/*.md"]
+
+    def test_stale_knob_doc_detected(self, tmp_path):
+        problems = self.knob_tree(
+            tmp_path, 'os.environ.get("REPRO_LOG")\n',
+            "set `REPRO_LOG`, or the removed `REPRO_ENGINE_WORKERS`\n")
+        assert problems == ["README.md: names `REPRO_ENGINE_WORKERS`, "
+                            "which appears nowhere in src/"]
+
     def test_error_code_drift_detected(self, tmp_path):
         from repro.service.server import ROUTES
         docs = tmp_path / "docs"
