@@ -11,8 +11,8 @@ committed baseline.  Usage::
     python scripts/bench.py --size 300     # bigger, steadier numbers
 
 All ``facile bench`` options are accepted (this is a thin wrapper around
-``repro.cli``); see ``ROADMAP.md`` § Performance for how to read the
-output.
+``repro.cli``); ``README.md`` § "Benchmarking (`facile bench`)" says
+how to read the output.
 """
 
 import os

@@ -31,6 +31,11 @@ Checks, over ``README.md`` and every ``docs/*.md``:
    in the README or a ``docs/*.md`` page, and every ``REPRO_*`` name
    those pages mention appears in ``src/`` (a doc cannot advertise a
    variable the program no longer reads).
+7. **Section references** — in the README, ``docs/*.md`` and
+   ``scripts/*.py``, a backticked markdown file name followed by the
+   section sign quotes, in double quotes, a heading that file has (the
+   file is looked up beside the referring file, then at the repository
+   root).
 
 Run directly (exits non-zero and lists problems on failure)::
 
@@ -250,6 +255,50 @@ def knob_problems(root: str = REPO_ROOT) -> List[str]:
     return problems
 
 
+#: A section reference: a backticked markdown file name, the section
+#: sign and, when well formed, the heading in double quotes.
+SECTION_REF_RE = re.compile(r'`+([\w./-]+\.md)`+\s*§\s*(?:"([^"]+)")?')
+#: A markdown ATX heading line.
+HEADING_RE = re.compile(r"^#{1,6}\s+(.*?)\s*#*\s*$", re.MULTILINE)
+
+
+def _headings(path: str) -> Set[str]:
+    with open(path, encoding="utf-8") as handle:
+        return set(HEADING_RE.findall(handle.read()))
+
+
+def section_ref_problems(root: str = REPO_ROOT) -> List[str]:
+    """Section references of the README, ``docs/*.md`` and
+    ``scripts/*.py`` that quote no heading of the file they name."""
+    scripts_dir = os.path.join(root, "scripts")
+    sources = markdown_files(root)
+    if os.path.isdir(scripts_dir):
+        sources.extend(os.path.join(scripts_dir, name)
+                       for name in sorted(os.listdir(scripts_dir))
+                       if name.endswith(".py"))
+    problems = []
+    for path in sources:
+        rel = os.path.relpath(path, root)
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        for target, heading in SECTION_REF_RE.findall(text):
+            if not heading:
+                problems.append(f"{rel}: `{target}` § names no heading "
+                                '(expected § "Heading")')
+                continue
+            heading = " ".join(heading.split())
+            candidates = (os.path.join(os.path.dirname(path), target),
+                          os.path.join(root, target))
+            found = [c for c in candidates if os.path.isfile(c)]
+            if not found:
+                problems.append(f"{rel}: `{target}` § \"{heading}\" names "
+                                "a missing file")
+            elif heading not in _headings(found[0]):
+                problems.append(f"{rel}: `{target}` has no heading "
+                                f"\"{heading}\"")
+    return problems
+
+
 def run_checks(root: str = REPO_ROOT) -> List[str]:
     """All problems found across the documentation set (empty = pass)."""
     problems = []
@@ -272,6 +321,7 @@ def run_checks(root: str = REPO_ROOT) -> List[str]:
     problems.extend(serve_flag_problems(root))
     problems.extend(metrics_conformance_problems(root))
     problems.extend(knob_problems(root))
+    problems.extend(section_ref_problems(root))
     return problems
 
 

@@ -10,10 +10,15 @@ from repro.uarch.config import MicroArchConfig
 from repro.uops.blockinfo import MacroOp
 
 
+def lsd_fits_uops(n_fused: int, cfg: MicroArchConfig) -> bool:
+    """True when a loop of *n_fused* µops fits into the IDQ (the kernel
+    of :func:`lsd_fits`)."""
+    return cfg.lsd_enabled and n_fused <= cfg.idq_size
+
+
 def lsd_fits(ops: Sequence[MacroOp], cfg: MicroArchConfig) -> bool:
     """True when the loop's µops fit into the IDQ (LSD applicability)."""
-    n = sum(op.info.fused_uops for op in ops)
-    return cfg.lsd_enabled and n <= cfg.idq_size
+    return lsd_fits_uops(sum(op.info.fused_uops for op in ops), cfg)
 
 
 def lsd_unroll_count(n_uops: int, cfg: MicroArchConfig) -> int:
@@ -32,6 +37,13 @@ def lsd_unroll_count(n_uops: int, cfg: MicroArchConfig) -> int:
     return max(1, min(target, capacity))
 
 
+def lsd_cycles(n_fused: int, cfg: MicroArchConfig) -> Fraction:
+    """The LSD bound of a loop of *n_fused* µops (the kernel of
+    :func:`lsd_bound`)."""
+    unroll = lsd_unroll_count(n_fused, cfg)
+    return Fraction(-(-(n_fused * unroll) // cfg.issue_width), unroll)
+
+
 def lsd_bound(ops: Sequence[MacroOp], cfg: MicroArchConfig) -> Fraction:
     """Cycles per iteration when µops stream from the LSD.
 
@@ -39,6 +51,4 @@ def lsd_bound(ops: Sequence[MacroOp], cfg: MicroArchConfig) -> Fraction:
     streamed in the same cycle, hence the ceiling; LSD unrolling amortizes
     that ceiling over several logical iterations.
     """
-    n = sum(op.info.fused_uops for op in ops)
-    unroll = lsd_unroll_count(n, cfg)
-    return Fraction(math.ceil(Fraction(n * unroll, cfg.issue_width)), unroll)
+    return lsd_cycles(sum(op.info.fused_uops for op in ops), cfg)

@@ -43,6 +43,8 @@ _ALL_COMPONENTS = frozenset(Component)
 #: on equal bounds ``max`` keeps the first, so the choice never depends
 #: on set iteration (hash) order.
 _JCC_FRONT_END = (Component.PREDEC, Component.DEC)
+#: Every component, front end first (the bottleneck report's order).
+_COMPONENT_ORDER = tuple(Component)
 
 
 @dataclass
@@ -146,8 +148,11 @@ def _combine(bounds: Dict[Component, Fraction], mode: ThroughputMode,
     if not candidates:
         return None, fe, []
     throughput = max(candidates.values())
-    bottlenecks = [comp for comp in Component
-                   if candidates.get(comp) == throughput]
+    bottlenecks = [comp for comp, bound in candidates.items()
+                   if bound == throughput]
+    if len(bottlenecks) > 1:  # front-end-first: declaration order
+        bottlenecks = [comp for comp in _COMPONENT_ORDER
+                       if comp in bottlenecks]
     return throughput, fe, bottlenecks
 
 

@@ -9,16 +9,20 @@ arising as the union of the port sets of *pairs* of µops — which it found
 to give the same bound as the exact LP of uops.info on all of BHive.
 
 Both the pairwise heuristic and the exact LP (used by the ablation bench
-``benchmarks/test_ablation_ports_lp.py``) are implemented here.
+``benchmarks/test_ablation_ports_lp.py``) are implemented here.  The
+heuristic's entry points project macro-ops onto :data:`PortOp` tuples;
+its kernels (:func:`ports_bound_counts`, :func:`critical_port_ops`) are
+shared with the columnar core, which builds the tuples from per-form
+rows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.uops.blockinfo import MacroOp
 
@@ -40,17 +44,28 @@ class PortsResult:
     critical_uops: int
 
 
-def _uop_port_multiset(ops: Sequence[MacroOp]) -> Counter:
+#: One macro-op as the Ports component reads it: (index of its first
+#: instruction, the port set of each of its dispatched µops).
+PortOp = Tuple[int, Tuple[PortSet, ...]]
+
+
+def port_ops(ops: Sequence[MacroOp]) -> Tuple[PortOp, ...]:
+    """The :data:`PortOp` of every macro-op (the projection of
+    :func:`ports_bound` and :func:`critical_instructions`)."""
+    return tuple((op.first_index, op.info.port_sets) for op in ops)
+
+
+def port_multiset(ops: Sequence[PortOp]) -> Dict[PortSet, int]:
     """Count dispatched µops by port set.
 
     Eliminated µops and NOPs have no port sets and are excluded, as are
     macro-fused branches' flag-producer halves (already merged into one
     µop by the macro-op construction) — matching §4.8's exclusions.
     """
-    counts: Counter = Counter()
-    for op in ops:
-        for ports in op.info.port_sets:
-            counts[ports] += 1
+    counts: Dict[PortSet, int] = {}
+    for _, port_sets in ops:
+        for ports in port_sets:
+            counts[ports] = counts.get(ports, 0) + 1
     return counts
 
 
@@ -61,15 +76,24 @@ def _uop_port_multiset(ops: Sequence[MacroOp]) -> Counter:
 _PORTS_MEMO: Dict[Tuple[Tuple[Tuple[int, ...], int], ...], PortsResult] = {}
 
 
-def _multiset_key(counts: Counter) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
+@functools.lru_cache(maxsize=4096)
+def _sorted_ports(ports: PortSet) -> Tuple[int, ...]:
+    """*ports* in ascending order (the same sets recur in every
+    multiset of a µarch, so they are sorted once)."""
+    return tuple(sorted(ports))
+
+
+def _multiset_key(counts: Mapping[PortSet, int],
+                  ) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
     """Canonical, hashable form of a µop port multiset."""
-    return tuple(sorted((tuple(sorted(ports)), cnt)
+    return tuple(sorted((_sorted_ports(ports), cnt)
                         for ports, cnt in counts.items()))
 
 
 def clear_ports_memo() -> None:
     """Drop the global heuristic memo (for tests)."""
     _PORTS_MEMO.clear()
+    _sorted_ports.cache_clear()
 
 
 def ports_bound(ops: Sequence[MacroOp]) -> PortsResult:
@@ -81,15 +105,20 @@ def ports_bound(ops: Sequence[MacroOp]) -> PortsResult:
     always report the same critical combination regardless of hash
     randomization.
     """
-    return ports_bound_counts(_uop_port_multiset(ops))
+    return ports_bound_counts(port_multiset(port_ops(ops)))
 
 
-def ports_bound_counts(counts: Counter) -> PortsResult:
+def ports_bound_counts(counts: Mapping[PortSet, int]) -> PortsResult:
     """:func:`ports_bound` on a precomputed µop port multiset.
 
-    The columnar core (:mod:`repro.engine.columnar`) keeps the multiset
-    as a per-entry column and calls this directly; both entry points
+    The columnar core (:mod:`repro.engine.columnar`) builds the multiset
+    from its per-form rows and calls this directly; both entry points
     share :data:`_PORTS_MEMO`, so warm results transfer between cores.
+
+    Candidates are compared as ``u/|pc|`` by cross-multiplication, in
+    integers; the one ``Fraction`` is built for the winner.  They come
+    smallest first, and none of size *s* can beat the best once all
+    the µops over *s* ports do not, so the search stops there.
     """
     if not counts:
         return PortsResult(Fraction(0), None, 0)
@@ -99,35 +128,45 @@ def ports_bound_counts(counts: Counter) -> PortsResult:
     if cached is not None:
         return cached
 
-    combos = list(counts)
-    pair_unions = sorted({pc | pc2 for pc in combos for pc2 in combos},
-                         key=lambda pc: (len(pc), sorted(pc)))
+    classes = list(counts.items())
+    pair_unions = sorted({pc | pc2 for pc, _ in classes
+                          for pc2, _ in classes},
+                         key=lambda pc: (len(pc), _sorted_ports(pc)))
 
-    best = Fraction(0)
+    total = sum(counts.values())
+    best_uops, best_size = 0, 1
     best_combo: Optional[PortSet] = None
-    best_uops = 0
     for pc in pair_unions:
-        u = sum(cnt for ports, cnt in counts.items() if ports <= pc)
-        bound = Fraction(u, len(pc))
-        if bound > best:
-            best, best_combo, best_uops = bound, pc, u
-    result = PortsResult(best, best_combo, best_uops)
+        size = len(pc)
+        if total * best_size <= best_uops * size:
+            break
+        u = 0
+        for ports, cnt in classes:
+            if ports <= pc:
+                u += cnt
+        if u * best_size > best_uops * size:
+            best_uops, best_size, best_combo = u, size, pc
+    result = PortsResult(Fraction(best_uops, best_size), best_combo,
+                         best_uops)
     _PORTS_MEMO[key] = result
     return result
+
+
+def critical_port_ops(ops: Sequence[PortOp],
+                      result: PortsResult) -> List[int]:
+    """The kernel of :func:`critical_instructions` on port ops."""
+    pc = result.critical_combination
+    if pc is None:
+        return []
+    return [first_index for first_index, port_sets in ops
+            if any(ports <= pc for ports in port_sets)]
 
 
 def critical_instructions(ops: Sequence[MacroOp],
                           result: PortsResult) -> List[int]:
     """Indices of instructions whose µops experience the maximal
     contention (interpretable feedback when Ports is the bottleneck)."""
-    if result.critical_combination is None:
-        return []
-    pc = result.critical_combination
-    indices = []
-    for op in ops:
-        if any(ports <= pc for ports in op.info.port_sets):
-            indices.append(op.first_index)
-    return indices
+    return critical_port_ops(port_ops(ops), result)
 
 
 def ports_bound_lp(ops: Sequence[MacroOp]) -> Fraction:
@@ -140,7 +179,7 @@ def ports_bound_lp(ops: Sequence[MacroOp]) -> Fraction:
     """
     from scipy.optimize import linprog
 
-    counts = _uop_port_multiset(ops)
+    counts = port_multiset(port_ops(ops))
     if not counts:
         return Fraction(0)
 

@@ -7,12 +7,14 @@ interval, in modulo-scheduling terms — with Howard's algorithm.
 :func:`precedence_bound` is the reference: it builds a
 :class:`~repro.graph.core.RatioGraph` and solves it on ``Fraction``
 values.  The columnar core computes the same result from one
-:class:`DepTemplate` per instruction (:func:`lower_dependences`, lowered
-once per instruction form) with :func:`compiled_precedence_bound`, which
-lays the graph out on integer node ids in the reference's insertion
-order and solves it with the integer kernel
-(:func:`repro.graph.howard_int.howard_max_cycle_ratio_int`), so the
-bound and the critical chain are identical.
+:class:`DepTemplate` per instruction with
+:func:`compiled_precedence_bound`, which lays the graph out on integer
+node ids in the reference's insertion order and solves it with the
+integer kernel (:func:`repro.graph.howard_int.howard_max_cycle_ratio_int`),
+so the bound and the critical chain are identical.  A template is
+lowered in two steps (:func:`lower_dependences`): the µarch-independent
+:func:`dataflow` of the instruction's form, taken once per process, and
+:func:`apply_latencies`, one µarch's cycles on it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ from repro.graph.howard_int import IntEdge, howard_max_cycle_ratio_int
 from repro.graph.lawler import lawler_max_cycle_ratio
 from repro.isa.block import BasicBlock
 from repro.isa.instruction import Instruction
-from repro.uops.database import UopsDatabase
+from repro.uops.database import UopsDatabase, dependence_pairs, \
+    edge_latencies
+from repro.uops.info import InstrInfo
 
 
 @dataclass(frozen=True)
@@ -80,6 +84,43 @@ class DepTemplate(NamedTuple):
     edges: Tuple[Tuple[int, int, int], ...]
 
 
+class Dataflow(NamedTuple):
+    """The µarch-independent part of a :class:`DepTemplate`: its roots,
+    and edges ``(consumed slot, written slot, address source)`` that
+    :func:`apply_latencies` turns into latency edges."""
+
+    written: Tuple[str, ...]
+    consumed: Tuple[str, ...]
+    edges: Tuple[Tuple[int, int, bool], ...]
+
+
+def dataflow(instr: Instruction) -> Dataflow:
+    """The dataflow of *instr*: a pure function of its form, so one
+    serves every instruction sharing the form, on every µarch."""
+    written_regs = instr.regs_written()
+    written: Dict[str, int] = {}  # root -> slot, in first-appearance order
+    for reg in written_regs:
+        written.setdefault(reg.name, len(written))
+    consumed: Dict[str, int] = {}
+    edges = []
+    for src, dst, address in dependence_pairs(instr, written_regs):
+        edges.append((consumed.setdefault(src.name, len(consumed)),
+                      written[dst.name], address))
+    return Dataflow(written=tuple(written), consumed=tuple(consumed),
+                    edges=tuple(edges))
+
+
+def apply_latencies(flow: Dataflow, info: InstrInfo) -> DepTemplate:
+    """The dependence template of an instruction with dataflow *flow*
+    and characterization *info* (one µarch's latencies)."""
+    base, through_address = edge_latencies(info)
+    return DepTemplate(
+        written=flow.written, consumed=flow.consumed,
+        edges=tuple((consumed, written, through_address if address
+                     else base)
+                    for consumed, written, address in flow.edges))
+
+
 def lower_dependences(instr: Instruction, db: UopsDatabase) -> DepTemplate:
     """The dependence template of *instr* on *db*'s µarch.
 
@@ -87,16 +128,7 @@ def lower_dependences(instr: Instruction, db: UopsDatabase) -> DepTemplate:
     flag (the only inputs of ``dep_latencies`` besides registers), so one
     template serves every instruction sharing them.
     """
-    written: Dict[str, int] = {}  # root -> slot, in first-appearance order
-    for reg in instr.regs_written():
-        written.setdefault(reg.name, len(written))
-    consumed: Dict[str, int] = {}
-    edges = []
-    for src, dst, latency in db.dep_latencies(instr):
-        edges.append((consumed.setdefault(src.name, len(consumed)),
-                      written[dst.name], latency))
-    return DepTemplate(written=tuple(written), consumed=tuple(consumed),
-                       edges=tuple(edges))
+    return apply_latencies(dataflow(instr), db.info(instr))
 
 
 def compiled_precedence_bound(

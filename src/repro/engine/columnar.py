@@ -3,9 +3,9 @@
 The object-model reference path (:class:`repro.core.model.Facile`)
 re-traverses per-instruction Python objects on every cold prediction:
 decode, µop characterization, macro-fusion pairing, and the component
-bounds all walk object graphs.  This module lowers that work into a
-**template-level compilation pass** so it is paid once per *instruction
-signature* instead of once per raw-bytes block:
+bounds all walk object graphs.  This module compiles that work per
+*instruction form* instead, so a new block costs one pass over cached
+per-form rows:
 
 * Every decoded instruction form is split into **form bytes** (prefixes,
   REX/VEX, escapes, opcode, ModRM, SIB — everything that determines the
@@ -18,26 +18,28 @@ signature* instead of once per raw-bytes block:
   model through ``disp != 0`` (memory-operand component counts), so two
   blocks that differ only in displacement/immediate *values* share one
   compiled entry — unseen blocks hit warm sub-results.
-* Each compiled entry stores the representative block and macro-op
-  stream plus its fused/issued µop totals, summed once when the entry
-  is built; the Issue, DSB and LSD bounds are integer arithmetic on
-  those totals.  Predec (the 16-byte-window model), Dec's Algorithm 1,
-  the Ports pair-union heuristic, and JCC run the *reference* component
-  implementations once per entry on the representative block, which is
-  what makes the core bit-for-bit equal to
-  :class:`~repro.core.model.Facile` by construction.  Ports results
-  additionally flow through the shared global multiset memo
-  (:func:`repro.core.ports.ports_bound_counts`).
-* Precedence is compiled.  Each signature component is lowered once
-  per core into a dependence template (its written roots, consumed
-  roots and latency edges, :func:`repro.core.precedence.lower_dependences`),
-  and each new entry builds its graph from the templates on integer
-  node ids and solves it with the exact integer Howard kernel
-  (:mod:`repro.graph.howard_int`).  The kernel replays the reference's
-  node order, visit order and tie-breaks, so the bound and critical
-  chain equal :func:`repro.core.precedence.precedence_bound`'s; the
-  differential harness and the kernel tests (``tests/graph/test_mcr.py``,
-  ``tests/core/test_precedence.py``) check it against the object model.
+* **Per-form facts, once per process.**  The first instruction seen of
+  a signature item is kept as its representative; the µarch-independent
+  facts of its form (layout, branch flags, fusion class, memory operand
+  and dataflow, :class:`_FormFacts`) are taken from it once.  The raw
+  path decodes only the instructions the trie walk does not know.
+* **Per-core rows, one per signature item** (:class:`_Row`): the µop
+  database's answer for the representative on the core's µarch, and,
+  when the core computes Precedence, the dependence template — the
+  µarch's latencies on the shared dataflow
+  (:func:`repro.core.precedence.apply_latencies`).
+* **Entries built from rows** (:meth:`ColumnarCore._compile`): one pass
+  pairs macro-fusion greedily and builds the µop totals and each
+  component's input — the predecoder layout, the macro-op tuples, the
+  port ops and the jump spans.  The bounds are the object model's own
+  kernels (``predec_cycles``, ``dec_cycles``, ``ports_bound_counts``,
+  ``spans_affected``, the DSB/LSD/Issue µop-total kernels) on those
+  inputs: the object model reaches the same kernels by projecting its
+  objects onto the same tuples, so each component has one
+  implementation.  Precedence builds its graph from the rows' templates
+  on integer node ids and solves it with the exact integer Howard
+  kernel (:mod:`repro.graph.howard_int`), which replays the reference's
+  node order, visit order and tie-breaks.
 
 Exactness argument, in one paragraph: the form bytes determine the
 template, every register operand (ModRM/SIB/REX/VEX.vvvv/and
@@ -50,18 +52,21 @@ instruction with the same ``(form, disp==0)`` signature yields an
 identical analysis, and every component bound computed from it equals
 the reference value.  The differential harness
 (``tests/engine/test_columnar_equiv.py``) enforces this on every
-generator category, every µarch, and every mode, plus seeded fuzz.
+generator category, every µarch, and every mode, plus seeded fuzz, and
+checks each entry's kernel inputs against the object model's
+projections.
 
 The trie is guarded, not trusted: a form is only inserted when doing so
 keeps the leaf set prefix-free (fixed-byte NOP patterns are installed
 first); any form that would conflict is *poisoned* and its instructions
 fall back to exact-raw-bytes leaves, which is always correct, merely
-less shared.  The trie and the representative table are process-wide
-and shared by every core, so cores on different threads (the service's
-per-µarch dispatchers with ``--no-shard`` or after a shard fallback)
-insert new forms under one module lock; the walk over known forms
-takes no lock.  A core's own entries and templates are not
-synchronized: one core serves one thread.
+less shared.  The trie, the representatives and the form facts are
+process-wide and shared by every core, so cores on different threads
+(the service's per-µarch dispatchers with ``--no-shard`` or after a
+shard fallback) insert new forms under one module lock; the walk over
+known forms takes no lock, and representatives and facts are set with
+``dict.setdefault``, whose first value wins.  A core's own entries and
+rows are not synchronized: one core serves one thread.
 
 Select the core per :class:`~repro.engine.engine.Engine` with
 ``core="object"|"columnar"``, per process with ``REPRO_ENGINE_CORE``,
@@ -75,10 +80,10 @@ from __future__ import annotations
 
 import os
 import threading
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, \
-    Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, \
+    Sequence, Tuple
 
 from repro.core.components import (
     Component,
@@ -86,22 +91,25 @@ from repro.core.components import (
     ThroughputMode,
     UNROLLED_COMPONENTS,
 )
-from repro.core.decoder import dec_bound, simple_dec_bound
-from repro.core.jcc import affected_by_jcc_erratum
-from repro.core.lsd import lsd_unroll_count
+from repro.core.decoder import DecOp, dec_cycles, simple_dec_cycles
+from repro.core.dsb import dsb_cycles
+from repro.core.issue import issue_cycles
+from repro.core.jcc import Span, spans_affected
+from repro.core.lsd import lsd_cycles, lsd_fits_uops
 from repro.core.model import Prediction, _combine, _critical_indices
-from repro.core.ports import PortsResult, critical_instructions, \
-    ports_bound_counts
+from repro.core.ports import PortOp, PortsResult, critical_port_ops, \
+    port_multiset, ports_bound_counts
 from repro.core.precedence import DepTemplate, PrecedenceResult, \
-    compiled_precedence_bound, lower_dependences
-from repro.core.predecoder import predec_bound, simple_predec_bound
+    apply_latencies, compiled_precedence_bound, dataflow
+from repro.core.predecoder import Layout, predec_cycles, \
+    simple_predec_cycles
 from repro.isa.block import BasicBlock
 from repro.isa.decoder import decode
 from repro.isa.instruction import Instruction
 from repro.isa.templates import _NOP_BYTES
 from repro.uarch.config import MicroArchConfig
-from repro.uops.blockinfo import analyze_block, macro_ops
 from repro.uops.database import UopsDatabase
+from repro.uops.fusion import can_macro_fuse
 
 _ALL_COMPONENTS = frozenset(Component)
 
@@ -149,19 +157,18 @@ class _Leaf:
     """One known instruction form: how to slice its encoding.
 
     Identity-hashed; a leaf object *is* the signature component for
-    every instruction sharing its form bytes.
+    every instruction sharing its form bytes.  ``items[disp_zero]`` is
+    its signature item, built once so walks allocate none.
     """
 
-    __slots__ = ("form_len", "disp_len", "imm_len")
+    __slots__ = ("form_len", "disp_len", "imm_len", "length", "items")
 
     def __init__(self, form_len: int, disp_len: int, imm_len: int):
         self.form_len = form_len
         self.disp_len = disp_len
         self.imm_len = imm_len
-
-    @property
-    def length(self) -> int:
-        return self.form_len + self.disp_len + self.imm_len
+        self.length = form_len + disp_len + imm_len
+        self.items = ((self, False), (self, True))
 
 
 #: A signature component: (form leaf, displacement-is-zero).
@@ -193,6 +200,10 @@ _RAW_LEAVES: Dict[bytes, _Leaf] = {}   # exact-raw fallback leaves
 #: analysis of any instruction with the same signature is identical,
 #: so one representative serves every core and µarch.
 _REP_INSTRS: Dict[_SigItem, Instruction] = {}
+#: The µarch-independent facts of each form (leaf), taken from a
+#: representative on first use (:class:`_FormFacts`); both
+#: displacement-is-zero variants of a form share them.
+_FORM_FACTS: Dict[_Leaf, "_FormFacts"] = {}
 #: Serializes form insertion (check, then insert) across threads.
 _INSERT_LOCK = threading.Lock()
 
@@ -323,10 +334,10 @@ def _leaf_for_instruction(instr: Instruction) -> _SigItem:
         leaf = _RAW_LEAVES.get(raw)
         if leaf is None:
             leaf = _RAW_LEAVES.setdefault(raw, _Leaf(len(raw), 0, 0))
-        key: _SigItem = (leaf, True)
+        key: _SigItem = leaf.items[True]
     else:
         mem = instr.mem_operand()
-        key = (leaf, mem is None or mem.disp == 0)
+        key = leaf.items[mem is None or mem.disp == 0]
     _REP_INSTRS.setdefault(key, instr)
     return key
 
@@ -348,10 +359,8 @@ def _walk(raw: bytes, offset: int) -> Optional[_SigItem]:
                 return None
             if leaf.disp_len:
                 start = offset + leaf.form_len
-                disp_zero = not any(raw[start:start + leaf.disp_len])
-            else:
-                disp_zero = True
-            return leaf, disp_zero
+                return leaf.items[not any(raw[start:start + leaf.disp_len])]
+            return leaf.items[True]
         if i >= end:
             return None
         node = node.children.get(raw[i])
@@ -360,15 +369,48 @@ def _walk(raw: bytes, offset: int) -> Optional[_SigItem]:
         i += 1
 
 
-def _rep_for(raw: bytes, offset: int, key: _SigItem) -> Instruction:
-    """The representative instruction of *key*, decoding the bytes at
-    *offset* on first sight (decode errors propagate, exactly as
-    ``BasicBlock.from_bytes`` would raise them)."""
-    rep = _REP_INSTRS.get(key)
-    if rep is None:
-        rep, _ = decode(raw, offset)
-        rep = _REP_INSTRS.setdefault(key, rep)
-    return rep
+def _decode_missing_reps(raw: bytes, items: Sequence[_SigItem]) -> None:
+    """Give every item of *items* (the leading instructions of *raw*) a
+    representative, decoding in block order only those without one.
+
+    A walked form may lack one for its other displacement-is-zero
+    variant, and only that variant decides whether the bytes decode (a
+    ``[disp32]`` operand with no base and no index rejects 0).  Decoding
+    in order makes the first failure ``BasicBlock.from_bytes``'s.
+    """
+    offset = 0
+    for item in items:
+        if item not in _REP_INSTRS:
+            _REP_INSTRS.setdefault(item, decode(raw, offset)[0])
+        offset += item[0].length
+
+
+class _FormFacts:
+    """The µarch-independent facts of one form, taken once per process
+    from a representative instruction."""
+
+    __slots__ = ("length", "opcode_offset", "lcp", "branch", "cond_branch",
+                 "macro_fusible", "fuses_first", "dataflow")
+
+    def __init__(self, instr: Instruction):
+        self.length = instr.length
+        self.opcode_offset = instr.opcode_offset
+        self.lcp = instr.has_lcp
+        self.branch = instr.is_branch
+        self.cond_branch = instr.is_cond_branch
+        self.macro_fusible = instr.template.fusible_first is not None
+        # Only such an instruction can open a macro-fused pair.
+        self.fuses_first = (self.macro_fusible
+                            and instr.mem_operand() is None)
+        self.dataflow = dataflow(instr)
+
+
+def _facts(item: _SigItem) -> _FormFacts:
+    facts = _FORM_FACTS.get(item[0])
+    if facts is None:
+        facts = _FORM_FACTS.setdefault(item[0],
+                                       _FormFacts(_REP_INSTRS[item]))
+    return facts
 
 
 def _reset_global_tables() -> None:
@@ -378,32 +420,81 @@ def _reset_global_tables() -> None:
     _FORM_INDEX.clear()
     _RAW_LEAVES.clear()
     _REP_INSTRS.clear()
+    _FORM_FACTS.clear()
     _install_nops()
 
 
 # ---------------------------------------------------------------------------
-# Compiled block entries
+# Per-core rows and compiled block entries
 # ---------------------------------------------------------------------------
 
-class _BlockEntry:
-    """One compiled block signature: µop totals + memoized bound pieces."""
+class _Row:
+    """One signature item on one core's µarch: its form facts plus the
+    µop database's answer, and its dependence template when the core
+    computes Precedence.  *error* is what characterizing it raised."""
 
-    __slots__ = ("sig", "block", "analyzed", "ops", "n_fused", "n_issued",
-                 "dec", "ports", "ports_critical", "precedence", "jcc",
+    __slots__ = ("rep", "facts", "fused_uops", "issued_uops", "port_sets",
+                 "dec_op", "template", "error")
+
+    def __init__(self, item: _SigItem, db: UopsDatabase,
+                 precedence: bool):
+        self.rep = rep = _REP_INSTRS[item]
+        self.facts = facts = _facts(item)
+        self.template: Optional[DepTemplate] = None
+        self.error: Optional[BaseException] = None
+        try:
+            info = db.info(rep)
+        except Exception as exc:
+            # Form-deterministic (e.g. a template the µarch lacks):
+            # every entry holding the item replays it.
+            self.error = exc
+            return
+        self.fused_uops = info.fused_uops
+        self.issued_uops = info.issued_uops
+        self.port_sets = info.port_sets
+        self.dec_op: DecOp = (info.requires_complex_decoder,
+                              info.n_available_simple_decoders,
+                              facts.macro_fusible, facts.branch)
+        if precedence:
+            self.template = apply_latencies(facts.dataflow, info)
+
+
+class _Projection(NamedTuple):
+    """What a signature's rows project onto the components: the µop
+    totals and the inputs of each kernel, in the shapes the object
+    model's projections give (``block_layout``, ``decoder_ops``,
+    ``port_ops``, ``branch_spans``, ``lower_dependences``)."""
+
+    n_fused: int
+    n_issued: int
+    num_bytes: int
+    layout: Layout
+    dec_ops: Tuple[DecOp, ...]
+    port_ops: Tuple[PortOp, ...]
+    spans: Tuple[Span, ...]
+    templates: Tuple[Optional[DepTemplate], ...]
+
+
+class _BlockEntry:
+    """One compiled block signature: its µop totals, its predecoder
+    layout (Predec depends on the mode), and the mode-independent bound
+    pieces, computed when it is compiled."""
+
+    __slots__ = ("sig", "n_fused", "n_issued", "num_bytes", "layout",
+                 "jcc", "dec", "ports", "ports_critical", "precedence",
                  "protos", "error")
 
     def __init__(self, sig: Signature):
         self.sig = sig
-        self.block: Optional[BasicBlock] = None
-        self.analyzed = None
-        self.ops = None
         self.n_fused = 0
         self.n_issued = 0
+        self.num_bytes = 0
+        self.layout: Layout = ((), (), ())
+        self.jcc = False
         self.dec: Optional[Fraction] = None
         self.ports: Optional[PortsResult] = None
-        self.ports_critical: Optional[List[int]] = None
+        self.ports_critical: List[int] = []
         self.precedence: Optional[PrecedenceResult] = None
-        self.jcc: Optional[bool] = None
         self.protos: Dict[ThroughputMode, Prediction] = {}
         self.error: Optional[BaseException] = None
 
@@ -414,9 +505,9 @@ class ColumnarCore:
     Accepts the same variant knobs as :class:`~repro.core.model.Facile`
     (``simple_predec`` / ``simple_dec`` / ``components`` / ``exclude``),
     so every engine configuration can route through it.  Entries and
-    the per-form dependence templates are held per core instance (one
-    core serves one µarch + variant), each in an LRU of *max_entries*;
-    the form trie and representative-instruction table are shared
+    the per-item rows are held per core instance (one core serves one
+    µarch + variant), each in an LRU of *max_entries*; the form trie,
+    the representative instructions and the form facts are shared
     process-wide.
 
     Attributes:
@@ -441,11 +532,17 @@ class ColumnarCore:
         base = frozenset(components) if components is not None \
             else _ALL_COMPONENTS
         self.enabled: FrozenSet[Component] = base - frozenset(exclude)
+        #: The enabled components relevant in each mode, in order.
+        self._active = {
+            mode: tuple(c for c in (UNROLLED_COMPONENTS
+                                    if mode is ThroughputMode.UNROLLED
+                                    else LOOP_COMPONENTS)
+                        if c in self.enabled)
+            for mode in ThroughputMode}
         self.max_entries = max_entries
         self._entries: "OrderedDict[Signature, _BlockEntry]" = OrderedDict()
         self._by_raw: "OrderedDict[bytes, _BlockEntry]" = OrderedDict()
-        self._templates: "OrderedDict[_SigItem, DepTemplate]" = \
-            OrderedDict()
+        self._rows: "OrderedDict[_SigItem, _Row]" = OrderedDict()
         self.raw_hits = 0
         self.sig_hits = 0
         self.misses = 0
@@ -457,9 +554,17 @@ class ColumnarCore:
             store.popitem(last=False)
         store[key] = entry
 
-    def _entry_for_sig(self, sig: Signature,
-                       instructions: Sequence[Instruction],
-                       ) -> _BlockEntry:
+    def _row(self, item: _SigItem) -> _Row:
+        row = self._rows.get(item)
+        if row is None:
+            row = _Row(item, self.db,
+                       Component.PRECEDENCE in self.enabled)
+            self._remember(self._rows, item, row)
+        else:
+            self._rows.move_to_end(item)
+        return row
+
+    def _entry_for_sig(self, sig: Signature) -> _BlockEntry:
         entry = self._entries.get(sig)
         if entry is not None:
             self.sig_hits += 1
@@ -468,25 +573,108 @@ class ColumnarCore:
         self.misses += 1
         entry = _BlockEntry(sig)
         try:
-            block = BasicBlock(list(instructions))
-            entry.block = block
-            entry.analyzed = analyze_block(block, self.cfg, self.db)
-            entry.ops = macro_ops(entry.analyzed, self.cfg)
-            for op in entry.ops:
-                entry.n_fused += op.info.fused_uops
-                entry.n_issued += op.info.issued_uops
+            self._compile(entry)
         except Exception as exc:
             # Signature-deterministic (unsupported template on this
-            # µarch, degenerate memory operand, empty block): replay
-            # the same failure for every block sharing the signature,
-            # exactly as the object path re-raises per call.
+            # µarch, empty block): replay the same failure for every
+            # block sharing the signature, exactly as the object path
+            # re-raises per call.
             entry.error = exc
         self._remember(self._entries, sig, entry)
         return entry
 
+    def _compile(self, entry: _BlockEntry) -> None:
+        """Fill *entry* from its rows: the µop totals, the layout, and
+        every enabled mode-independent bound (Dec, Ports, Precedence)
+        and the JCC check, each by the object model's kernel."""
+        projection = self._project(entry.sig)
+        cfg = self.cfg
+        enabled = self.enabled
+        entry.n_fused = projection.n_fused
+        entry.n_issued = projection.n_issued
+        entry.num_bytes = projection.num_bytes
+        entry.layout = projection.layout
+        entry.jcc = cfg.jcc_erratum and spans_affected(projection.spans)
+        if Component.DEC in enabled:
+            entry.dec = (simple_dec_cycles(projection.dec_ops, cfg)
+                         if self.simple_dec
+                         else dec_cycles(projection.dec_ops, cfg))
+        if Component.PORTS in enabled:
+            entry.ports = ports_bound_counts(
+                port_multiset(projection.port_ops))
+            entry.ports_critical = critical_port_ops(projection.port_ops,
+                                                     entry.ports)
+        if Component.PRECEDENCE in enabled:
+            entry.precedence = compiled_precedence_bound(
+                projection.templates)
+
+    def _project(self, sig: Signature) -> _Projection:
+        """One pass over the rows of *sig*: macro-fusion pairing (as
+        ``analyze_block``), the µop totals (as ``macro_ops``), and each
+        kernel's input (see :class:`_Projection`).  Raises the first
+        failing row's error, or the empty block's."""
+        if not sig:
+            BasicBlock(())  # raises the empty-block error
+        rows = [self._row(item) for item in sig]
+        for row in rows:
+            if row.error is not None:
+                # Shared by every entry holding the item: raise it
+                # without the frames of an earlier raise.
+                raise row.error.with_traceback(None)
+        cfg = self.cfg
+        opcode_bytes: List[int] = []
+        last_bytes: List[int] = []
+        lcps: List[bool] = []
+        dec_ops: List[DecOp] = []
+        port_ops: List[PortOp] = []
+        spans: List[Span] = []
+        n_fused = n_issued = offset = 0
+        n = len(rows)
+        i = 0
+        while i < n:
+            row = rows[i]
+            facts = row.facts
+            opcode_bytes.append(offset + facts.opcode_offset)
+            lcps.append(facts.lcp)
+            end = offset + facts.length
+            last_bytes.append(end - 1)
+            if facts.branch:
+                spans.append((offset, end - 1))
+            if (facts.fuses_first and i + 1 < n
+                    and rows[i + 1].facts.cond_branch
+                    and can_macro_fuse(row.rep, rows[i + 1].rep, cfg)):
+                second = rows[i + 1].facts
+                opcode_bytes.append(end + second.opcode_offset)
+                lcps.append(second.lcp)
+                pair_end = end + second.length
+                last_bytes.append(pair_end - 1)
+                if second.branch:
+                    spans.append((offset, pair_end - 1))
+                n_fused += 1
+                n_issued += 1
+                # ``macro_ops``'s merged record: one simple-decoder µop.
+                dec_ops.append((False, cfg.n_decoders - 1, True,
+                                second.branch))
+                port_ops.append((i, (cfg.ports_for("fused_branch"),)))
+                offset = pair_end
+                i += 2
+                continue
+            n_fused += row.fused_uops
+            n_issued += row.issued_uops
+            dec_ops.append(row.dec_op)
+            port_ops.append((i, row.port_sets))
+            offset = end
+            i += 1
+        return _Projection(
+            n_fused=n_fused, n_issued=n_issued, num_bytes=offset,
+            layout=(tuple(opcode_bytes), tuple(last_bytes), tuple(lcps)),
+            dec_ops=tuple(dec_ops), port_ops=tuple(port_ops),
+            spans=tuple(spans),
+            templates=tuple(row.template for row in rows))
+
     def _entry_for_block(self, block: BasicBlock) -> _BlockEntry:
-        sig = tuple(_leaf_for_instruction(instr) for instr in block)
-        return self._entry_for_sig(sig, block.instructions)
+        return self._entry_for_sig(
+            tuple(_leaf_for_instruction(instr) for instr in block))
 
     def _entry_for_raw(self, raw: bytes) -> _BlockEntry:
         sig: List[_SigItem] = []
@@ -495,9 +683,10 @@ class ColumnarCore:
         while offset < end:
             item = _walk(raw, offset)
             if item is None:
-                # Unknown form: decode the block once; this also
-                # inserts every new form for later raw-path hits.
-                return self._entry_for_block(BasicBlock.from_bytes(raw))
+                # An unknown form: decode this instruction only, which
+                # also inserts its form for later walks.
+                _decode_missing_reps(raw, sig)
+                item = _leaf_for_instruction(decode(raw, offset)[0])
             sig.append(item)
             offset += item[0].length
         key = tuple(sig)
@@ -506,12 +695,8 @@ class ColumnarCore:
             self.sig_hits += 1
             self._entries.move_to_end(key)
             return entry
-        reps: List[Instruction] = []
-        offset = 0
-        for item in key:
-            reps.append(_rep_for(raw, offset, item))
-            offset += item[0].length
-        return self._entry_for_sig(key, reps)
+        _decode_missing_reps(raw, key)
+        return self._entry_for_sig(key)
 
     def _resolve_block(self, block: BasicBlock) -> _BlockEntry:
         raw = block.raw
@@ -534,69 +719,11 @@ class ColumnarCore:
         self._remember(self._by_raw, raw, entry)
         return entry
 
-    # -- memoized per-entry bound pieces -------------------------------
-    # Each runs at most once per (entry, mode): ``_predict_entry`` keeps
-    # the assembled prediction.  The mode-independent pieces are kept on
-    # the entry so the second mode reuses them.
-
     def _predec_bound(self, entry: _BlockEntry,
                       mode: ThroughputMode) -> Fraction:
-        bound = simple_predec_bound if self.simple_predec else predec_bound
-        return bound(entry.block, self.cfg, mode)
-
-    def _dec_bound(self, entry: _BlockEntry) -> Fraction:
-        if entry.dec is None:
-            entry.dec = (simple_dec_bound(entry.ops, self.cfg)
-                         if self.simple_dec
-                         else dec_bound(entry.ops, self.cfg))
-        return entry.dec
-
-    def _dsb_bound(self, entry: _BlockEntry) -> Fraction:
-        width = self.cfg.dsb_width
-        if entry.block.num_bytes < 32:
-            return Fraction(-(-entry.n_fused // width))
-        return Fraction(entry.n_fused, width)
-
-    def _lsd_bound(self, entry: _BlockEntry) -> Fraction:
-        unroll = lsd_unroll_count(entry.n_fused, self.cfg)
-        return Fraction(-(-(entry.n_fused * unroll) // self.cfg.issue_width),
-                        unroll)
-
-    def _ports_result(self, entry: _BlockEntry) -> PortsResult:
-        if entry.ports is None:
-            counts: Counter = Counter()
-            for op in entry.ops:
-                for ports in op.info.port_sets:
-                    counts[ports] += 1
-            entry.ports = ports_bound_counts(counts)
-        return entry.ports
-
-    def _ports_critical(self, entry: _BlockEntry) -> List[int]:
-        if entry.ports_critical is None:
-            entry.ports_critical = critical_instructions(
-                entry.ops, self._ports_result(entry))
-        return entry.ports_critical
-
-    def _precedence_result(self, entry: _BlockEntry) -> PrecedenceResult:
-        if entry.precedence is None:
-            memo = self._templates
-            templates: List[DepTemplate] = []
-            for item, instr in zip(entry.sig, entry.block):
-                template = memo.get(item)
-                if template is None:
-                    template = lower_dependences(instr, self.db)
-                    self._remember(memo, item, template)
-                else:
-                    memo.move_to_end(item)
-                templates.append(template)
-            entry.precedence = compiled_precedence_bound(templates)
-        return entry.precedence
-
-    def _jcc_affected(self, entry: _BlockEntry) -> bool:
-        if entry.jcc is None:
-            entry.jcc = affected_by_jcc_erratum(entry.block, self.cfg,
-                                                entry.analyzed)
-        return entry.jcc
+        if self.simple_predec:
+            return simple_predec_cycles(entry.num_bytes)
+        return predec_cycles(entry.layout, entry.num_bytes, self.cfg, mode)
 
     # -- prediction assembly -------------------------------------------
 
@@ -610,35 +737,30 @@ class ColumnarCore:
         precedence_detail: Optional[PrecedenceResult] = None
         ports_critical: List[int] = []
 
-        relevant = (UNROLLED_COMPONENTS
-                    if mode is ThroughputMode.UNROLLED
-                    else LOOP_COMPONENTS)
-        active = [c for c in relevant if c in self.enabled]
+        active = self._active[mode]
 
         if Component.PREDEC in active:
             bounds[Component.PREDEC] = self._predec_bound(entry, mode)
         if Component.DEC in active:
-            bounds[Component.DEC] = self._dec_bound(entry)
+            bounds[Component.DEC] = entry.dec
         if Component.DSB in active:
-            bounds[Component.DSB] = self._dsb_bound(entry)
+            bounds[Component.DSB] = dsb_cycles(entry.n_fused,
+                                               entry.num_bytes, self.cfg)
         if Component.LSD in active:
-            bounds[Component.LSD] = self._lsd_bound(entry)
+            bounds[Component.LSD] = lsd_cycles(entry.n_fused, self.cfg)
         if Component.ISSUE in active:
-            bounds[Component.ISSUE] = Fraction(entry.n_issued,
-                                               self.cfg.issue_width)
+            bounds[Component.ISSUE] = issue_cycles(entry.n_issued, self.cfg)
         if Component.PORTS in active:
-            ports_detail = self._ports_result(entry)
-            ports_critical = self._ports_critical(entry)
+            ports_detail = entry.ports
+            ports_critical = entry.ports_critical
             bounds[Component.PORTS] = ports_detail.bound
         if Component.PRECEDENCE in active:
-            precedence_detail = self._precedence_result(entry)
+            precedence_detail = entry.precedence
             bounds[Component.PRECEDENCE] = precedence_detail.bound
 
-        jcc_affected = (mode is ThroughputMode.LOOP
-                        and self._jcc_affected(entry))
+        jcc_affected = mode is ThroughputMode.LOOP and entry.jcc
         lsd_applicable = (mode is ThroughputMode.LOOP
-                          and self.cfg.lsd_enabled
-                          and entry.n_fused <= self.cfg.idq_size)
+                          and lsd_fits_uops(entry.n_fused, self.cfg))
 
         tp, fe, bottlenecks = _combine(bounds, mode, self.enabled,
                                        jcc_affected, lsd_applicable)
@@ -716,24 +838,25 @@ class ColumnarCore:
         return [self.predict_raw(raw, mode) for raw in raws]
 
     def stats(self) -> Dict[str, int]:
-        """Lookup counters plus the compiled-entry and dependence-template
-        populations."""
+        """Lookup counters plus the compiled-entry and per-item row
+        populations (``templates`` counts the rows, which hold the
+        dependence templates)."""
         return {
             "entries": len(self._entries),
-            "templates": len(self._templates),
+            "templates": len(self._rows),
             "raw_hits": self.raw_hits,
             "sig_hits": self.sig_hits,
             "misses": self.misses,
         }
 
     def clear(self) -> None:
-        """Drop this core's compiled entries and dependence templates
-        (counters are kept).
+        """Drop this core's compiled entries and rows (counters are
+        kept).
 
-        The process-wide form trie and representative table are shared
-        with other cores and stay; tests that need a cold trie use
-        ``_reset_global_tables``.
+        The process-wide form trie, representatives and form facts are
+        shared with other cores and stay; tests that need a cold trie
+        use ``_reset_global_tables``.
         """
         self._entries.clear()
         self._by_raw.clear()
-        self._templates.clear()
+        self._rows.clear()

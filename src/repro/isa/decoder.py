@@ -33,6 +33,8 @@ _LEGACY_PREFIXES = frozenset((0x66, 0xF2, 0xF3))
 _LOOKUP: Dict[tuple, List[InstrTemplate]] = {}
 
 _NOPS_BY_LENGTH = sorted(_NOP_BYTES.items(), key=lambda kv: -kv[0])
+#: The bytes a NOP pattern can start with (0x90, 0x66 and 0x0F).
+_NOP_FIRST_BYTES = frozenset(pattern[0] for pattern in _NOP_BYTES.values())
 
 
 def _norm_simd_prefix(t: InstrTemplate) -> Optional[int]:
@@ -68,6 +70,8 @@ _build_lookup()
 
 
 def _try_decode_nop(raw: bytes, offset: int) -> Optional[Instruction]:
+    if offset >= len(raw) or raw[offset] not in _NOP_FIRST_BYTES:
+        return None
     for length, pattern in _NOPS_BY_LENGTH:
         if raw[offset:offset + length] == pattern:
             template = template_by_name(f"NOP{length}")

@@ -54,7 +54,7 @@ class Register:
 
     def root(self) -> "Register":
         """Return the full-width register aliased by this one."""
-        return register_by_name(self.root_name)
+        return _REGISTRY[self.root_name]  # root names are canonical
 
     def __str__(self) -> str:
         return self.name

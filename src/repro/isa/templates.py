@@ -32,11 +32,17 @@ class Access(enum.Enum):
 
     @property
     def reads(self) -> bool:
-        return self in (Access.R, Access.RW)
+        return self in _READING
 
     @property
     def writes(self) -> bool:
-        return self in (Access.W, Access.RW)
+        return self in _WRITING
+
+
+# Module constants: looking members up on the enum class per call is
+# several times slower, and dataflow queries ask once per operand.
+_READING = (Access.R, Access.RW)
+_WRITING = (Access.W, Access.RW)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ the instruction template's *archetype* plus instance-level properties
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.isa.instruction import Instruction
 from repro.isa.operands import MemOperand
@@ -79,21 +79,9 @@ class UopsDatabase:
         loading instructions additionally pay the L1 load-to-use latency.
         """
         info = self.info(instr)
-        if info.eliminated:
-            base = 0
-        else:
-            base = info.latency
-        mem = instr.mem_operand()
-        addr_roots = set()
-        if mem is not None:
-            addr_roots = {r.root().name for r in mem.address_regs()}
-        written = instr.regs_written()
-        edges = []
-        for src in instr.regs_read():
-            extra = info.load_latency if src.name in addr_roots else 0
-            for dst in written:
-                edges.append((src, dst, base + extra))
-        return edges
+        base, through_address = edge_latencies(info)
+        return [(src, dst, through_address if address else base)
+                for src, dst, address in dependence_pairs(instr)]
 
     def supports(self, instr: Instruction) -> bool:
         """True when the instruction exists on this µarch."""
@@ -261,6 +249,30 @@ class UopsDatabase:
             latency = 0
 
         return fused, kinds, eliminated, is_nop, latency
+
+
+def dependence_pairs(instr: Instruction,
+                     written: Optional[List[Register]] = None,
+                     ) -> List[Tuple[Register, Register, bool]]:
+    """Every (src_root, dst_root, address source) pair of *instr*, in
+    :meth:`UopsDatabase.dep_latencies` order: the µarch-independent
+    dataflow, to which :func:`edge_latencies` gives cycles.  *written*
+    is ``instr.regs_written()``, when the caller has it already."""
+    mem = instr.mem_operand()
+    addr_roots = set()
+    if mem is not None:
+        addr_roots = {r.root().name for r in mem.address_regs()}
+    if written is None:
+        written = instr.regs_written()
+    return [(src, dst, src.name in addr_roots)
+            for src in instr.regs_read() for dst in written]
+
+
+def edge_latencies(info: InstrInfo) -> Tuple[int, int]:
+    """The cycles of a dependence edge of an instruction characterized
+    by *info*: ``(from a register source, from an address source)``."""
+    base = 0 if info.eliminated else info.latency
+    return base, base + info.load_latency
 
 
 class UnsupportedInstruction(Exception):

@@ -1,13 +1,17 @@
 """Port-contention bound tests, incl. the heuristic-vs-LP property."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.ports import (
+    clear_ports_memo,
     critical_instructions,
     ports_bound,
+    ports_bound_counts,
     ports_bound_lp,
 )
 from repro.isa.block import BasicBlock
@@ -86,3 +90,55 @@ class TestLpEquivalence:
     def test_empty_block_of_eliminated_uops(self):
         ops = ops_for("mov rax, rbx")
         assert ports_bound_lp(ops) == 0
+
+
+def brute_force_pair_unions(counts):
+    """The §4.8 heuristic spelled out on ``Fraction`` values: every pair
+    union, smallest first then lexicographic, the first strictly larger
+    ratio winning."""
+    unions = sorted({a | b for a in counts for b in counts},
+                    key=lambda pc: (len(pc), sorted(pc)))
+    best, best_combo, best_uops = Fraction(0), None, 0
+    for pc in unions:
+        u = sum(cnt for ports, cnt in counts.items() if ports <= pc)
+        if Fraction(u, len(pc)) > best:
+            best, best_combo, best_uops = Fraction(u, len(pc)), pc, u
+    return best, best_combo, best_uops
+
+
+class TestIntegerSearch:
+    """The integer pair-union search returns what the ``Fraction``
+    search does: the bound, the critical combination and its µop count,
+    ties included."""
+
+    def random_multiset(self, rng):
+        ports = range(rng.choice((2, 3, 4, 8)))
+        counts = Counter()
+        for _ in range(rng.randint(1, 6)):
+            size = rng.randint(1, len(ports))
+            counts[frozenset(rng.sample(ports, size))] += rng.randint(1, 4)
+        return counts
+
+    def test_matches_fraction_oracle(self):
+        rng = random.Random(4242)
+        ties = 0
+        for _ in range(2000):
+            counts = self.random_multiset(rng)
+            clear_ports_memo()
+            result = ports_bound_counts(counts)
+            want = brute_force_pair_unions(counts)
+            assert (result.bound, result.critical_combination,
+                    result.critical_uops) == want, counts
+            unions = {a | b for a in counts for b in counts}
+            ratios = [Fraction(sum(c for p, c in counts.items()
+                                   if p <= pc), len(pc)) for pc in unions]
+            ties += ratios.count(max(ratios)) > 1
+        assert ties > 100  # equal-ratio ties were exercised
+
+    def test_tie_keeps_the_first_in_order(self):
+        # {0} and {1} both reach 2 µops per port; {0} comes first.
+        counts = Counter({frozenset({0}): 2, frozenset({1}): 2})
+        clear_ports_memo()
+        result = ports_bound_counts(counts)
+        assert result.critical_combination == frozenset({0})
+        assert (result.bound, result.critical_uops) == (2, 2)

@@ -1,5 +1,7 @@
 """Columnar-core unit behavior: routing, memoization, bounds, errors."""
 
+import ast
+import inspect
 import traceback
 
 import pytest
@@ -170,14 +172,46 @@ class TestMemoization:
         assert core.predict(blocks[0], ThroughputMode.LOOP) == second
 
 
+#: Raw-path errors: (bytes predicted first, so their forms are known;
+#: the bad block).
+RAW_ERROR_CASES = {
+    # The walk passes the known add, then decodes only the bad byte.
+    "known-then-undecodable": ("4801d8", "4801d806"),
+    # A known add-imm8 form whose immediate is cut off.
+    "known-truncated": ("4801d84883c001", "4801d84883c0"),
+    # A known [disp32] form (no base, no index) whose displacement is
+    # 0, which the decoder rejects: alone, the walk knows every form.
+    "payload-rejected": ("488b042510000000", "488b042500000000"),
+    # The same, before an undecodable byte, which must not win over it.
+    "payload-rejected-first": ("488b042510000000", "488b04250000000006"),
+    "empty": ("", ""),
+}
+
+
+def assert_raw_error_like_from_bytes(core, bad):
+    """``predict_raw(bad)`` raises what ``BasicBlock.from_bytes(bad)``
+    raises, type and message (the shard sends the message to clients),
+    on a miss and on the next call."""
+    with pytest.raises(Exception) as reference:
+        BasicBlock.from_bytes(bad)
+    for _ in range(2):
+        with pytest.raises(type(reference.value)) as error:
+            core.predict_raw(bad, ThroughputMode.LOOP)
+        assert str(error.value) == str(reference.value)
+
+
 class TestErrors:
     def test_decode_error_propagates_like_from_bytes(self):
+        assert_raw_error_like_from_bytes(ColumnarCore(SKL),
+                                         bytes.fromhex("060606"))
+
+    @pytest.mark.parametrize("known, bad", RAW_ERROR_CASES.values(),
+                             ids=RAW_ERROR_CASES.keys())
+    def test_raw_path_error_matches_from_bytes(self, known, bad):
         core = ColumnarCore(SKL)
-        bogus = bytes.fromhex("060606")
-        with pytest.raises(Exception) as reference:
-            BasicBlock.from_bytes(bogus)
-        with pytest.raises(type(reference.value)):
-            core.predict_raw(bogus, ThroughputMode.LOOP)
+        if known:
+            core.predict_raw(bytes.fromhex(known), ThroughputMode.LOOP)
+        assert_raw_error_like_from_bytes(core, bytes.fromhex(bad))
 
     def test_empty_raw_raises_value_error(self):
         core = ColumnarCore(SKL)
@@ -214,6 +248,46 @@ class TestErrors:
                 error.value.__traceback__)))
         assert core.stats()["raw_hits"] == 49  # the same cached error
         assert depths == [depths[0]] * 50
+
+
+def _trie_leaves(node):
+    leaves = [node.leaf] if node.leaf is not None else []
+    for child in node.children.values():
+        leaves.extend(_trie_leaves(child))
+    return leaves
+
+
+def test_reset_empties_every_module_table(blocks):
+    """``_reset_global_tables`` leaves only the NOP forms it reinstalls
+    in every process-wide table of the module, whatever its name: a
+    table it missed would make a later set-up start warm."""
+    from repro.engine import columnar
+    from repro.isa.templates import _NOP_BYTES
+
+    core = ColumnarCore(SKL)
+    for block in blocks:
+        core.predict_raw(block.raw, ThroughputMode.LOOP)
+        core.predict(block, ThroughputMode.UNROLLED)
+    defined = set()  # names the module assigns at top level
+    for node in ast.parse(inspect.getsource(columnar)).body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    tables = {name: getattr(columnar, name) for name in defined
+              if isinstance(getattr(columnar, name),
+                            (dict, list, set, columnar._TrieNode))}
+    assert columnar._REP_INSTRS and columnar._FORM_FACTS
+    columnar._reset_global_tables()
+    nop_forms = {bytes(pattern) for pattern in _NOP_BYTES.values()}
+    for name, table in tables.items():
+        if isinstance(table, columnar._TrieNode):
+            assert set(_trie_leaves(table)) \
+                == set(columnar._FORM_INDEX.values()), name
+        elif name == "_FORM_INDEX":
+            assert set(table) == nop_forms, name
+        else:
+            assert not table, name
 
 
 def test_engine_batch_path_matches_reference_on_record(blocks):

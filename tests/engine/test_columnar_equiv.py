@@ -27,7 +27,12 @@ import pytest
 from repro.bhive.categories import CATEGORIES
 from repro.bhive.generator import BlockGenerator
 from repro.core.components import ThroughputMode
+from repro.core.decoder import decoder_ops
+from repro.core.jcc import branch_spans
 from repro.core.model import Facile
+from repro.core.ports import port_ops
+from repro.core.precedence import lower_dependences
+from repro.core.predecoder import block_layout
 from repro.discovery.abstraction import (
     AbstractBlock,
     AbstractInsn,
@@ -37,7 +42,8 @@ from repro.discovery.abstraction import (
 from repro.engine.columnar import ColumnarCore
 from repro.isa.block import BasicBlock
 from repro.uarch import ALL_UARCHS, uarch_by_name
-from repro.uops.database import UopsDatabase
+from repro.uops.blockinfo import analyze_block, macro_ops
+from repro.uops.database import UnsupportedInstruction, UopsDatabase
 
 MODES = (ThroughputMode.UNROLLED, ThroughputMode.LOOP)
 
@@ -86,6 +92,10 @@ def swept_blocks():
 def test_every_category_every_uarch_every_mode(cfg, mode, swept_blocks):
     reference = Facile(cfg)
     columnar = ColumnarCore(cfg)
+    # A core that sees only bytes, so its entries come from the raw
+    # path (its own rows; the bytes-only core after ``predict`` would
+    # just hit the raw-bytes LRU).
+    raw_only = ColumnarCore(cfg)
     blocks = [block for _, block in swept_blocks]
     expected = reference.predict_many(blocks, mode)
     batched = columnar.predict_many(blocks, mode)
@@ -94,6 +104,8 @@ def test_every_category_every_uarch_every_mode(cfg, mode, swept_blocks):
         assert_identical(want, got, context)
         assert_identical(want, columnar.predict(block, mode), context)
         assert_identical(want, columnar.predict_raw(block.raw, mode),
+                         context)
+        assert_identical(want, raw_only.predict_raw(block.raw, mode),
                          context)
     raw_batch = columnar.predict_raw_many([b.raw for b in blocks], mode)
     for want, got in zip(expected, raw_batch):
@@ -175,23 +187,30 @@ def run_fuzz(n_blocks, seed):
     for cfg in ALL_UARCHS:
         reference = Facile(cfg)
         columnar = ColumnarCore(cfg)
+        raw_only = ColumnarCore(cfg)  # entries from the raw path only
         for mode in MODES:
             supported = []
             for block in blocks:
                 context = f"{cfg.abbrev}/{mode.value}/{block.raw.hex()}"
+                # First, so forms new to the process go through the
+                # raw path's one-instruction decode.
+                fresh_ok, fresh = outcome(raw_only.predict_raw,
+                                          block.raw, mode)
                 want_ok, want = outcome(reference.predict, block, mode)
                 got_ok, got = outcome(columnar.predict, block, mode)
                 raw_ok, via_raw = outcome(columnar.predict_raw,
                                           block.raw, mode)
-                assert (want_ok, got_ok, raw_ok) \
-                    == (want_ok,) * 3, (context, want, got, via_raw)
+                assert (want_ok, got_ok, raw_ok, fresh_ok) \
+                    == (want_ok,) * 4, (context, want, got, via_raw, fresh)
                 if want_ok:
                     assert_identical(want, got, context)
                     assert want == via_raw, context
+                    assert_identical(want, fresh, context)
                     supported.append((block, want))
                 else:
                     assert want == got, context
                     assert want == via_raw, context
+                    assert want == fresh, context
             if supported:
                 batch = columnar.predict_many(
                     [b for b, _ in supported], mode)
@@ -206,3 +225,40 @@ def test_fuzz_smoke():
 @pytest.mark.slow
 def test_fuzz_full():
     run_fuzz(FUZZ_FULL, seed=20230)
+
+
+@pytest.mark.parametrize("cfg", ALL_UARCHS, ids=lambda c: c.abbrev)
+def test_rows_project_like_the_object_model(cfg, swept_blocks):
+    """A signature's per-form rows feed every component kernel the
+    object model's own projection of the block: the predecoder layout,
+    Algorithm 1's ops, the port ops, the jump spans, the µop totals and
+    the dependence templates — for signatures from the predict path and
+    from the raw path alike."""
+    core = ColumnarCore(cfg)
+    raw_only = ColumnarCore(cfg)
+    for name, block in swept_blocks:
+        context = f"{cfg.abbrev}/{name}/{block.raw.hex()}"
+        sigs = (core._resolve_block(block).sig,
+                raw_only._resolve_raw(block.raw).sig)
+        try:
+            analyzed = analyze_block(block, cfg, core.db)
+        except UnsupportedInstruction as exc:
+            for sig in sigs:
+                with pytest.raises(UnsupportedInstruction) as error:
+                    core._project(sig)
+                assert str(error.value) == str(exc), context
+            continue
+        ops = macro_ops(analyzed, cfg)
+        for projected in (core._project(sigs[0]), raw_only._project(sigs[1])):
+            assert projected.layout == block_layout(block), context
+            assert projected.num_bytes == block.num_bytes, context
+            assert projected.dec_ops == decoder_ops(ops), context
+            assert projected.port_ops == port_ops(ops), context
+            assert projected.spans == branch_spans(block, analyzed), context
+            assert projected.n_fused == sum(op.info.fused_uops
+                                            for op in ops), context
+            assert projected.n_issued == sum(op.info.issued_uops
+                                             for op in ops), context
+            assert projected.templates == tuple(
+                lower_dependences(instr, core.db) for instr in block), \
+                context

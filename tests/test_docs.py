@@ -194,3 +194,39 @@ class TestApiConformance:
                    for p in problems)
         assert any("'teapot'" in p and "does not emit" in p
                    for p in problems)
+
+
+class TestSectionReferences:
+    def ref_tree(self, tmp_path, readme, script=""):
+        (tmp_path / "README.md").write_text(readme)
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        (docs / "GUIDE.md").write_text("# Guide\n\n## Known section\n")
+        (tmp_path / "ROADMAP.md").write_text("# Roadmap\n\n### Baseline\n")
+        scripts = tmp_path / "scripts"
+        scripts.mkdir()
+        (scripts / "tool.py").write_text(script)
+        return check_docs.section_ref_problems(str(tmp_path))
+
+    def test_existing_headings_pass(self, tmp_path):
+        assert self.ref_tree(
+            tmp_path,
+            'see `docs/GUIDE.md` § "Known section" and `ROADMAP.md` §\n'
+            '"Baseline"\n',
+            '"""Read ``ROADMAP.md`` § "Baseline"."""\n') == []
+
+    def test_unknown_heading_detected(self, tmp_path):
+        assert self.ref_tree(
+            tmp_path, 'see `docs/GUIDE.md` § "Gone section"\n') == [
+            'README.md: `docs/GUIDE.md` has no heading "Gone section"']
+
+    def test_unquoted_heading_detected_in_scripts(self, tmp_path):
+        problems = self.ref_tree(
+            tmp_path, "", '"""See ``ROADMAP.md`` § Performance."""\n')
+        assert problems == ['scripts/tool.py: `ROADMAP.md` § names no '
+                            'heading (expected § "Heading")']
+
+    def test_missing_file_detected(self, tmp_path):
+        assert self.ref_tree(
+            tmp_path, 'see `docs/NOPE.md` § "Intro"\n') == [
+            'README.md: `docs/NOPE.md` § "Intro" names a missing file']
