@@ -22,7 +22,9 @@ Checks, over ``README.md`` and every ``docs/*.md``:
    (``repro.obs.metrics.METRIC_CATALOG``) in both directions: every
    catalogued metric name appears as a backticked ``facile_*`` token,
    and every backticked ``facile_*`` token names a catalogued metric
-   (a doc cannot advertise a metric the registry never exports).
+   (a doc cannot advertise a metric the registry never exports); and
+   the labels column of a catalogued metric's table row names exactly
+   its catalog entry's label names (``—`` for none).
 5. **Serve flags** — the flag table at the top of ``docs/SERVICE.md``
    has one ``| `--flag` |`` row per long option of ``facile serve``
    in :func:`repro.cli.build_parser` (``--help`` aside), and no row
@@ -36,6 +38,10 @@ Checks, over ``README.md`` and every ``docs/*.md``:
    section sign quotes, in double quotes, a heading that file has (the
    file is looked up beside the referring file, then at the repository
    root).
+8. **Python floor** — ``requires-python`` in ``pyproject.toml`` is the
+   lowest Python version of the test matrix in
+   ``.github/workflows/ci.yml``, and the README's "Python X.Y+" says the
+   same (the package is not tested below its declared floor).
 
 Run directly (exits non-zero and lists problems on failure)::
 
@@ -204,6 +210,13 @@ def serve_flag_problems(root: str = REPO_ROOT) -> List[str]:
 #: `facile_span_duration_ms{span=...}` (label hints are stripped).
 METRIC_TOKEN_RE = re.compile(r"`(facile_[a-z0-9_]+)(?:\{[^`]*\})?`")
 
+#: Metric-table rows in OBSERVABILITY.md:
+#: | `facile_x_total` | counter | `uarch` | meaning |
+METRIC_ROW_RE = re.compile(
+    r"^\|\s*`(facile_[a-z0-9_]+)`\s*\|[^|]*\|([^|]*)\|", re.MULTILINE)
+#: A backticked label name in a labels column.
+LABEL_RE = re.compile(r"`([a-z_][a-z0-9_]*)`")
+
 
 def metrics_conformance_problems(root: str = REPO_ROOT) -> List[str]:
     """Drift between ``docs/OBSERVABILITY.md`` and the metric catalog."""
@@ -224,6 +237,18 @@ def metrics_conformance_problems(root: str = REPO_ROOT) -> List[str]:
     for name in sorted(documented - set(METRIC_CATALOG)):
         problems.append(f"docs/OBSERVABILITY.md: documents `{name}`, "
                         "which is not in the metric catalog")
+    rows = {name: set(LABEL_RE.findall(labels))
+            for name, labels in METRIC_ROW_RE.findall(text)}
+    for name, (_, _, labels) in sorted(METRIC_CATALOG.items()):
+        if name not in rows:
+            continue
+        for label in sorted(set(labels) - rows[name]):
+            problems.append(f"docs/OBSERVABILITY.md: `{name}` is "
+                            f"labelled `{label}`, which its row omits")
+        for label in sorted(rows[name] - set(labels)):
+            problems.append(f"docs/OBSERVABILITY.md: the row of `{name}` "
+                            f"names label `{label}`, which the catalog "
+                            "does not")
     return problems
 
 
@@ -299,6 +324,52 @@ def section_ref_problems(root: str = REPO_ROOT) -> List[str]:
     return problems
 
 
+#: ``requires-python = ">=3.9"`` in pyproject.toml.
+FLOOR_RE = re.compile(r'^requires-python\s*=\s*">=\s*(\d+\.\d+)',
+                      re.MULTILINE)
+#: The test matrix in ci.yml: ``python-version: ["3.9", "3.11"]``.
+MATRIX_RE = re.compile(r"python-version:\s*\[([^\]]*)\]")
+#: The README's "Python 3.9+".
+README_FLOOR_RE = re.compile(r"\bPython (\d+\.\d+)\+")
+
+
+def _version(text: str) -> Tuple[int, ...]:
+    return tuple(int(part) for part in text.split("."))
+
+
+def python_floor_problems(root: str = REPO_ROOT) -> List[str]:
+    """Drift between the declared Python floor (``pyproject.toml``, the
+    README) and the lowest Python CI tests on."""
+    try:
+        with open(os.path.join(root, "pyproject.toml"),
+                  encoding="utf-8") as handle:
+            floor = FLOOR_RE.search(handle.read())
+        with open(os.path.join(root, ".github", "workflows", "ci.yml"),
+                  encoding="utf-8") as handle:
+            matrix = MATRIX_RE.search(handle.read())
+    except OSError as exc:
+        return [f"python floor: {exc}"]
+    if floor is None:
+        return ["pyproject.toml: no `requires-python = \">=X.Y\"` floor"]
+    versions = re.findall(r"\d+\.\d+", matrix.group(1)) if matrix else []
+    if not versions:
+        return [".github/workflows/ci.yml: no python-version test matrix"]
+    lowest = min(versions, key=_version)
+    problems = []
+    if _version(floor.group(1)) != _version(lowest):
+        problems.append(f"pyproject.toml: requires-python >={floor.group(1)}"
+                        f", but CI's lowest tested Python is {lowest}")
+    readme = os.path.join(root, "README.md")
+    if os.path.exists(readme):
+        with open(readme, encoding="utf-8") as handle:
+            for stated in README_FLOOR_RE.findall(handle.read()):
+                if _version(stated) != _version(floor.group(1)):
+                    problems.append(f"README.md: says Python {stated}+, "
+                                    "but requires-python is "
+                                    f">={floor.group(1)}")
+    return problems
+
+
 def run_checks(root: str = REPO_ROOT) -> List[str]:
     """All problems found across the documentation set (empty = pass)."""
     problems = []
@@ -322,6 +393,7 @@ def run_checks(root: str = REPO_ROOT) -> List[str]:
     problems.extend(metrics_conformance_problems(root))
     problems.extend(knob_problems(root))
     problems.extend(section_ref_problems(root))
+    problems.extend(python_floor_problems(root))
     return problems
 
 

@@ -131,7 +131,7 @@ def check_scrape(port):
     if missing:
         raise SystemExit("scrape is missing documented metrics: "
                          + ", ".join(missing))
-    for name, (kind, _) in sorted(METRIC_CATALOG.items()):
+    for name, (kind, _, _) in sorted(METRIC_CATALOG.items()):
         if families[name]["kind"] != kind:
             raise SystemExit(f"{name}: scraped kind "
                              f"{families[name]['kind']!r} != {kind!r}")

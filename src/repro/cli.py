@@ -18,6 +18,13 @@ Every subcommand is documented in ``README.md``; the service endpoints
 behind ``facile serve`` are specified in ``docs/SERVICE.md``, and the
 deviation-discovery campaigns behind ``facile hunt`` in
 ``docs/DISCOVERY.md``.
+
+``import repro.cli`` loads argparse and nothing of the program: each
+handler imports the modules it runs, and each subcommand's argument
+function imports the defaults its options show.  :func:`main` adds the
+arguments of the requested subcommand only, so ``facile serve`` never
+imports NumPy, the baselines or the campaign driver
+(``tests/test_imports.py``).
 """
 
 from __future__ import annotations
@@ -26,56 +33,27 @@ import argparse
 import json
 import sys
 import time
-from typing import Callable, List, Optional
-
-from repro.bhive.suite import default_suite
-from repro.discovery import (
-    CampaignConfig,
-    CampaignInterrupted,
-    CheckpointError,
-    CheckpointStore,
-    DEFAULT_BUDGET,
-    DEFAULT_CHECKPOINT_EVERY,
-    DEFAULT_FRESH_WITNESSES,
-    DEFAULT_GEN_SAMPLES,
-    DEFAULT_MAX_FAMILIES,
-    DEFAULT_MAX_WITNESSES,
-    DEFAULT_MUTATION_RATE,
-    DEFAULT_PREDICTORS,
-    DEFAULT_THRESHOLD,
-    campaign_report,
-    generalize_report,
-    load_known_families,
-    render_json,
-    render_markdown,
-    run_campaign,
-)
-from repro.engine.batching import DEFAULT_MAX_BATCH
-from repro.service.server import DEFAULT_MAX_QUEUE
-from repro.core.components import Component, ThroughputMode
-from repro.core.counterfactual import idealized_speedup
-from repro.core.model import Facile
-from repro.engine import engine as engine_mod
-from repro.engine import bench as bench_mod
-from repro.engine.columnar import ColumnarCore, resolve_core
-from repro.eval import figures, tables
-from repro.isa.block import BasicBlock
-from repro.obs import log as obslog
-from repro.obs import metrics
-from repro.uarch import ALL_UARCHS, uarch_by_name
+from typing import Callable, List, Optional, Tuple
 
 #: Heartbeats (hunt/bench progress on stderr) fire at most this often.
 HEARTBEAT_INTERVAL_SEC = 2.0
 
+#: A subcommand's handler: parsed arguments in, exit code out.
+Handler = Callable[[argparse.Namespace], int]
+
 
 def _apply_log_level(args: argparse.Namespace) -> None:
     """Honor ``--log-level`` (overrides ``REPRO_LOG``) when present."""
+    from repro.obs import log as obslog
+
     level = getattr(args, "log_level", None)
     if level is not None:
         obslog.set_level(level)
 
 
 def _add_log_level_arg(cmd: argparse.ArgumentParser) -> None:
+    from repro.obs import log as obslog
+
     cmd.add_argument("--log-level", choices=sorted(obslog.LEVELS),
                      default=None,
                      help="structured-log threshold on stderr "
@@ -83,6 +61,13 @@ def _add_log_level_arg(cmd: argparse.ArgumentParser) -> None:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
+    from repro.core.components import ThroughputMode
+    from repro.core.counterfactual import idealized_speedup
+    from repro.core.model import Facile
+    from repro.engine.columnar import ColumnarCore, resolve_core
+    from repro.isa.block import BasicBlock
+    from repro.uarch import uarch_by_name
+
     cfg = uarch_by_name(args.uarch)
     if args.hex:
         block = BasicBlock.from_bytes(bytes.fromhex(args.hex))
@@ -124,19 +109,28 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _suite(args: argparse.Namespace):
+    from repro.bhive.suite import default_suite
+
     if getattr(args, "workers", None) is not None:
+        from repro.engine import engine as engine_mod
+
         # Fan the suite's oracle measurements out over a worker pool.
         engine_mod.set_default_workers(args.workers)
     return default_suite(args.size, args.seed)
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from repro.eval import tables
+
     del args
     print(tables.render_table1())
     return 0
 
 
 def _cmd_table2(args: argparse.Namespace) -> int:
+    from repro.eval import tables
+    from repro.uarch import ALL_UARCHS, uarch_by_name
+
     uarchs = ([uarch_by_name(args.uarch)] if args.uarch
               else list(ALL_UARCHS))
     rows = tables.table2(_suite(args), uarchs)
@@ -145,17 +139,23 @@ def _cmd_table2(args: argparse.Namespace) -> int:
 
 
 def _cmd_table3(args: argparse.Namespace) -> int:
+    from repro.eval import tables
+
     rows = tables.table3(_suite(args))
     print(tables.render_table3(rows))
     return 0
 
 
 def _cmd_table4(args: argparse.Namespace) -> int:
+    from repro.eval import tables
+
     print(tables.render_table4(tables.table4(_suite(args))))
     return 0
 
 
 def _cmd_figure3(args: argparse.Namespace) -> int:
+    from repro.eval import figures
+
     for heatmap in figures.figure3_heatmaps(_suite(args)):
         print(f"== {heatmap.predictor} "
               f"(diagonal fraction {heatmap.diagonal_fraction:.2f})")
@@ -167,6 +167,8 @@ def _cmd_figure3(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure4(args: argparse.Namespace) -> int:
+    from repro.eval import figures
+
     data = figures.figure4_component_times(_suite(args))
     for mode, results in data.items():
         print(f"== {mode}")
@@ -177,6 +179,8 @@ def _cmd_figure4(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure5(args: argparse.Namespace) -> int:
+    from repro.eval import figures
+
     data = figures.figure5_tool_times(_suite(args))
     print(f"{'tool':<13} {'TPU ms':>10} {'TPL ms':>10}")
     for name, times in data.items():
@@ -185,6 +189,8 @@ def _cmd_figure5(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure6(args: argparse.Namespace) -> int:
+    from repro.eval import figures
+
     print(figures.render_figure6(
         figures.figure6_bottleneck_evolution(_suite(args))))
     return 0
@@ -192,6 +198,9 @@ def _cmd_figure6(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     """Run the perf harness, persist BENCH_predict.json, gate regressions."""
+    from repro.engine import bench as bench_mod
+    from repro.uarch import uarch_by_name
+
     _apply_log_level(args)
     # Read the baseline before the run: output and baseline default to
     # the same committed file, which the run overwrites.
@@ -244,7 +253,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the HTTP prediction service until interrupted."""
+    from repro.corpus import load_corpus
+    from repro.obs import log as obslog
     from repro.service.server import PredictionService
+    from repro.uarch import uarch_by_name
 
     _apply_log_level(args)
     logger = obslog.get_logger("serve")
@@ -264,7 +276,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"facile serve: {exc}", file=sys.stderr)
         return 2
     if args.warm is not None:
-        from repro.discovery.coverage import load_corpus
         try:
             hexes = load_corpus(args.warm)
             warmed = service.warm(hexes, uarch=args.uarch)
@@ -300,6 +311,8 @@ def _load_known(path: Optional[str]):
     Raises:
         ValueError: unreadable file, bad JSON, or malformed families.
     """
+    from repro.discovery import load_known_families
+
     if not path:
         return ()
     try:
@@ -318,6 +331,9 @@ def _hunt_heartbeat(uarchs: List[str]) -> Callable[[], None]:
     accumulates across runs.  stdout never sees a heartbeat — the hunt
     report there is byte-compared by CI.
     """
+    from repro.obs import log as obslog
+    from repro.obs import metrics
+
     logger = obslog.get_logger("hunt")
     started = time.monotonic()
 
@@ -348,6 +364,11 @@ def _hunt_heartbeat(uarchs: List[str]) -> Callable[[], None]:
 
 def _cmd_hunt(args: argparse.Namespace) -> int:
     """Run a deviation-discovery campaign (see docs/DISCOVERY.md)."""
+    from repro.discovery import (CampaignConfig, CampaignInterrupted,
+                                 CheckpointError, CheckpointStore,
+                                 campaign_report, render_json,
+                                 render_markdown, run_campaign)
+
     _apply_log_level(args)
     modes = (("unrolled", "loop") if args.mode == "both"
              else (args.mode,))
@@ -429,6 +450,9 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
 
 def _cmd_generalize(args: argparse.Namespace) -> int:
     """Generalize the witnesses of an existing hunt report."""
+    from repro.discovery import (generalize_report, render_json,
+                                 render_markdown)
+
     try:
         with open(args.report, "r", encoding="utf-8") as handle:
             report = json.load(handle)
@@ -468,6 +492,9 @@ def _cmd_generalize(args: argparse.Namespace) -> int:
 def _add_generalize_args(cmd: argparse.ArgumentParser, *,
                          standalone: bool) -> None:
     """The generalization knobs shared by ``hunt`` and ``generalize``."""
+    from repro.discovery import (DEFAULT_FRESH_WITNESSES,
+                                 DEFAULT_GEN_SAMPLES, DEFAULT_MAX_FAMILIES)
+
     if not standalone:
         cmd.add_argument("--generalize", action="store_true",
                          help="widen minimized witnesses into abstract "
@@ -506,36 +533,25 @@ def _workers_arg(value: str) -> int:
     return workers
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="facile",
-        description="Facile reproduction: analytical basic-block "
-                    "throughput prediction",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _predict_args(cmd: argparse.ArgumentParser) -> Handler:
+    cmd.add_argument("--uarch", default="SKL")
+    cmd.add_argument("--mode", choices=("unrolled", "loop"),
+                     default="loop")
+    cmd.add_argument("--asm", help="assembly text (\\n separated)")
+    cmd.add_argument("--hex", help="raw block bytes in hex")
+    cmd.add_argument("--file", help="file with assembly text")
+    cmd.add_argument("--core", choices=("object", "columnar"),
+                     default=None,
+                     help="prediction core (default: "
+                          "REPRO_ENGINE_CORE or columnar; both "
+                          "produce identical output)")
+    return _cmd_predict
 
-    predict = sub.add_parser("predict", help="predict one block")
-    predict.add_argument("--uarch", default="SKL")
-    predict.add_argument("--mode", choices=("unrolled", "loop"),
-                         default="loop")
-    predict.add_argument("--asm", help="assembly text (\\n separated)")
-    predict.add_argument("--hex", help="raw block bytes in hex")
-    predict.add_argument("--file", help="file with assembly text")
-    predict.add_argument("--core", choices=("object", "columnar"),
-                         default=None,
-                         help="prediction core (default: "
-                              "REPRO_ENGINE_CORE or columnar; both "
-                              "produce identical output)")
-    predict.set_defaults(func=_cmd_predict)
 
-    for name, func, extra_uarch in (
-            ("table1", _cmd_table1, False), ("table2", _cmd_table2, True),
-            ("table3", _cmd_table3, False), ("table4", _cmd_table4, False),
-            ("figure3", _cmd_figure3, False),
-            ("figure4", _cmd_figure4, False),
-            ("figure5", _cmd_figure5, False),
-            ("figure6", _cmd_figure6, False)):
-        cmd = sub.add_parser(name, help=f"regenerate {name}")
+def _suite_args(handler: Handler, *, uarch: bool = False
+                ) -> Callable[[argparse.ArgumentParser], Handler]:
+    """The argument function of a table or figure subcommand."""
+    def add(cmd: argparse.ArgumentParser) -> Handler:
         cmd.add_argument("--size", type=int, default=50,
                          help="benchmark suite size")
         cmd.add_argument("--seed", type=int, default=2023)
@@ -544,143 +560,200 @@ def build_parser() -> argparse.ArgumentParser:
                          help="worker processes for the suite's oracle "
                               "measurements (0 = one per CPU; default "
                               "serial; never changes results)")
-        if extra_uarch:
+        if uarch:
             cmd.add_argument("--uarch", default=None,
                              help="restrict to one microarchitecture")
-        cmd.set_defaults(func=func)
+        return handler
 
-    bench = sub.add_parser(
-        "bench", help="run the perf-regression harness "
-                      "(writes BENCH_predict.json)")
-    bench.add_argument("--size", type=int, default=bench_mod.DEFAULT_SIZE)
-    bench.add_argument("--seed", type=int, default=bench_mod.DEFAULT_SEED)
-    bench.add_argument("--uarch", action="append", default=None,
-                       help="µarch(s) to measure (repeatable; "
-                            "default SKL)")
-    bench.add_argument("--output", default="BENCH_predict.json")
-    bench.add_argument("--baseline", default="BENCH_predict.json",
-                       help="committed baseline for the regression gate")
-    bench.add_argument("--tolerance", type=float,
-                       default=bench_mod.DEFAULT_TOLERANCE,
-                       help="allowed blocks/sec drop before failing")
-    bench.add_argument("--check", action="store_true",
-                       help="exit non-zero on regression vs the baseline")
-    bench.add_argument("--no-service", action="store_true",
-                       help="skip the service-path measurement")
-    _add_log_level_arg(bench)
-    bench.set_defaults(func=_cmd_bench)
+    return add
 
-    serve = sub.add_parser(
-        "serve", help="run the HTTP prediction service "
-                      "(see docs/SERVICE.md)")
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="bind address (default 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=8000,
-                       help="TCP port (0 = pick an ephemeral port)")
-    serve.add_argument("--uarch", default="SKL",
-                       help="default µarch for requests that omit one")
-    serve.add_argument("--max-batch", type=int,
-                       default=DEFAULT_MAX_BATCH,
-                       help="most queued requests per shard call")
-    serve.add_argument("--max-queue", type=int,
-                       default=DEFAULT_MAX_QUEUE,
-                       help="bound on queued requests per µarch before "
-                            "the service sheds with 429 (default "
-                            f"{DEFAULT_MAX_QUEUE}; 0 = unbounded)")
-    serve.add_argument("--warm", default=None, metavar="CORPUS",
-                       help="pre-answer a block corpus (hex per line, "
-                            "or a BHive-style CSV) before serving")
-    serve.add_argument("--no-shard", action="store_true",
-                       help="predict in-process instead of in "
-                            "per-µarch worker shards (debugging / "
-                            "fork-hostile environments)")
-    _add_log_level_arg(serve)
-    serve.set_defaults(func=_cmd_serve)
 
-    hunt = sub.add_parser(
-        "hunt", help="run a deviation-discovery campaign "
-                     "(see docs/DISCOVERY.md)")
-    hunt.add_argument("--seed", type=int, default=0,
-                      help="campaign seed (results are a pure function "
-                           "of it and the other campaign options)")
-    hunt.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                      help="candidate blocks per µarch (generated + "
-                           "mutants)")
-    hunt.add_argument("--uarchs", nargs="+", default=["SKL"],
-                      metavar="UARCH",
-                      help="µarch(s) to hunt on (default SKL)")
-    hunt.add_argument("--predictors", nargs="+",
-                      default=list(DEFAULT_PREDICTORS), metavar="NAME",
-                      help="predictors to compare (the oracle simulator "
-                           "always participates); default "
-                           f"{' '.join(DEFAULT_PREDICTORS)}")
-    hunt.add_argument("--mode", choices=("unrolled", "loop", "both"),
-                      default="both",
-                      help="throughput notion(s) to evaluate")
-    hunt.add_argument("--threshold", type=float,
-                      default=DEFAULT_THRESHOLD,
-                      help="interestingness threshold (max pairwise "
-                           "relative disagreement)")
-    hunt.add_argument("--mutation-rate", type=float,
-                      default=DEFAULT_MUTATION_RATE,
-                      help="fraction of the budget spent mutating "
-                           "interesting candidates")
-    hunt.add_argument("--max-witnesses", type=int,
-                      default=DEFAULT_MAX_WITNESSES,
-                      help="deviations minimized per µarch")
-    hunt.add_argument("--workers", type=_workers_arg, default=None,
-                      help="worker processes for oracle measurements "
-                           "(0 = one per CPU; default serial; never "
-                           "changes results)")
-    hunt.add_argument("--checkpoint", default=None,
-                      help="write periodic evaluation checkpoints to "
-                           "this file (canonical JSON; atomic writes)")
-    hunt.add_argument("--checkpoint-every", type=int,
-                      default=DEFAULT_CHECKPOINT_EVERY,
-                      help="flush the checkpoint after this many newly "
-                           "evaluated blocks (default "
-                           f"{DEFAULT_CHECKPOINT_EVERY})")
-    hunt.add_argument("--resume", default=None,
-                      help="resume from a checkpoint file written by "
-                           "--checkpoint; the campaign config must "
-                           "match, and the report comes out identical "
-                           "to an uninterrupted run")
-    hunt.add_argument("--out", default=None,
-                      help="write the canonical JSON report here")
-    hunt.add_argument("--quiet", action="store_true",
-                      help="suppress the periodic progress heartbeats "
-                           "on stderr (the stdout report is identical "
-                           "either way)")
-    _add_log_level_arg(hunt)
-    _add_generalize_args(hunt, standalone=False)
-    hunt.set_defaults(func=_cmd_hunt)
+def _bench_args(cmd: argparse.ArgumentParser) -> Handler:
+    from repro.engine import bench as bench_mod
 
-    generalize = sub.add_parser(
-        "generalize", help="widen the witnesses of an existing hunt "
-                           "report into abstract deviation families "
-                           "(see docs/DISCOVERY.md)")
-    generalize.add_argument("report", metavar="REPORT.json",
-                            help="a report written by `facile hunt "
-                                 "--out` (v1 or v2)")
-    generalize.add_argument("--out", default=None,
-                            help="write the generalized canonical JSON "
-                                 "report here")
-    generalize.add_argument("--workers", type=_workers_arg, default=None,
-                            help="worker processes for oracle "
-                                 "measurements (0 = one per CPU; default "
-                                 "serial; never changes results)")
-    _add_generalize_args(generalize, standalone=True)
-    generalize.set_defaults(func=_cmd_generalize)
+    cmd.add_argument("--size", type=int, default=bench_mod.DEFAULT_SIZE)
+    cmd.add_argument("--seed", type=int, default=bench_mod.DEFAULT_SEED)
+    cmd.add_argument("--uarch", action="append", default=None,
+                     help="µarch(s) to measure (repeatable; "
+                          "default SKL)")
+    cmd.add_argument("--output", default="BENCH_predict.json")
+    cmd.add_argument("--baseline", default="BENCH_predict.json",
+                     help="committed baseline for the regression gate")
+    cmd.add_argument("--tolerance", type=float,
+                     default=bench_mod.DEFAULT_TOLERANCE,
+                     help="allowed blocks/sec drop before failing")
+    cmd.add_argument("--check", action="store_true",
+                     help="exit non-zero on regression vs the baseline")
+    cmd.add_argument("--no-service", action="store_true",
+                     help="skip the service-path measurement")
+    _add_log_level_arg(cmd)
+    return _cmd_bench
+
+
+def _serve_args(cmd: argparse.ArgumentParser) -> Handler:
+    from repro.engine.batching import DEFAULT_MAX_BATCH
+    from repro.service.server import DEFAULT_MAX_QUEUE
+
+    cmd.add_argument("--host", default="127.0.0.1",
+                     help="bind address (default 127.0.0.1)")
+    cmd.add_argument("--port", type=int, default=8000,
+                     help="TCP port (0 = pick an ephemeral port)")
+    cmd.add_argument("--uarch", default="SKL",
+                     help="default µarch for requests that omit one")
+    cmd.add_argument("--max-batch", type=int,
+                     default=DEFAULT_MAX_BATCH,
+                     help="most queued requests per shard call")
+    cmd.add_argument("--max-queue", type=int,
+                     default=DEFAULT_MAX_QUEUE,
+                     help="bound on queued requests per µarch before "
+                          "the service sheds with 429 (default "
+                          f"{DEFAULT_MAX_QUEUE}; 0 = unbounded)")
+    cmd.add_argument("--warm", default=None, metavar="CORPUS",
+                     help="pre-answer a block corpus (hex per line, "
+                          "or a BHive-style CSV) before serving")
+    cmd.add_argument("--no-shard", action="store_true",
+                     help="predict in-process instead of in "
+                          "per-µarch worker shards (debugging / "
+                          "fork-hostile environments)")
+    _add_log_level_arg(cmd)
+    return _cmd_serve
+
+
+def _hunt_args(cmd: argparse.ArgumentParser) -> Handler:
+    from repro.discovery import (DEFAULT_BUDGET, DEFAULT_CHECKPOINT_EVERY,
+                                 DEFAULT_MAX_WITNESSES,
+                                 DEFAULT_MUTATION_RATE, DEFAULT_PREDICTORS,
+                                 DEFAULT_THRESHOLD)
+
+    cmd.add_argument("--seed", type=int, default=0,
+                     help="campaign seed (results are a pure function "
+                          "of it and the other campaign options)")
+    cmd.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                     help="candidate blocks per µarch (generated + "
+                          "mutants)")
+    cmd.add_argument("--uarchs", nargs="+", default=["SKL"],
+                     metavar="UARCH",
+                     help="µarch(s) to hunt on (default SKL)")
+    cmd.add_argument("--predictors", nargs="+",
+                     default=list(DEFAULT_PREDICTORS), metavar="NAME",
+                     help="predictors to compare (the oracle simulator "
+                          "always participates); default "
+                          f"{' '.join(DEFAULT_PREDICTORS)}")
+    cmd.add_argument("--mode", choices=("unrolled", "loop", "both"),
+                     default="both",
+                     help="throughput notion(s) to evaluate")
+    cmd.add_argument("--threshold", type=float,
+                     default=DEFAULT_THRESHOLD,
+                     help="interestingness threshold (max pairwise "
+                          "relative disagreement)")
+    cmd.add_argument("--mutation-rate", type=float,
+                     default=DEFAULT_MUTATION_RATE,
+                     help="fraction of the budget spent mutating "
+                          "interesting candidates")
+    cmd.add_argument("--max-witnesses", type=int,
+                     default=DEFAULT_MAX_WITNESSES,
+                     help="deviations minimized per µarch")
+    cmd.add_argument("--workers", type=_workers_arg, default=None,
+                     help="worker processes for oracle measurements "
+                          "(0 = one per CPU; default serial; never "
+                          "changes results)")
+    cmd.add_argument("--checkpoint", default=None,
+                     help="write periodic evaluation checkpoints to "
+                          "this file (canonical JSON; atomic writes)")
+    cmd.add_argument("--checkpoint-every", type=int,
+                     default=DEFAULT_CHECKPOINT_EVERY,
+                     help="flush the checkpoint after this many newly "
+                          "evaluated blocks (default "
+                          f"{DEFAULT_CHECKPOINT_EVERY})")
+    cmd.add_argument("--resume", default=None,
+                     help="resume from a checkpoint file written by "
+                          "--checkpoint; the campaign config must "
+                          "match, and the report comes out identical "
+                          "to an uninterrupted run")
+    cmd.add_argument("--out", default=None,
+                     help="write the canonical JSON report here")
+    cmd.add_argument("--quiet", action="store_true",
+                     help="suppress the periodic progress heartbeats "
+                          "on stderr (the stdout report is identical "
+                          "either way)")
+    _add_log_level_arg(cmd)
+    _add_generalize_args(cmd, standalone=False)
+    return _cmd_hunt
+
+
+def _generalize_args(cmd: argparse.ArgumentParser) -> Handler:
+    cmd.add_argument("report", metavar="REPORT.json",
+                     help="a report written by `facile hunt "
+                          "--out` (v1 or v2)")
+    cmd.add_argument("--out", default=None,
+                     help="write the generalized canonical JSON "
+                          "report here")
+    cmd.add_argument("--workers", type=_workers_arg, default=None,
+                     help="worker processes for oracle "
+                          "measurements (0 = one per CPU; default "
+                          "serial; never changes results)")
+    _add_generalize_args(cmd, standalone=True)
+    return _cmd_generalize
+
+
+#: Every subcommand, in ``facile --help`` order: its name, its help
+#: line, and the function that adds its arguments (importing the
+#: defaults they show) and returns its handler.
+_COMMANDS: Tuple[Tuple[str, str,
+                      Callable[[argparse.ArgumentParser], Handler]], ...] = (
+    ("predict", "predict one block", _predict_args),
+    ("table1", "regenerate table1", _suite_args(_cmd_table1)),
+    ("table2", "regenerate table2", _suite_args(_cmd_table2, uarch=True)),
+    ("table3", "regenerate table3", _suite_args(_cmd_table3)),
+    ("table4", "regenerate table4", _suite_args(_cmd_table4)),
+    ("figure3", "regenerate figure3", _suite_args(_cmd_figure3)),
+    ("figure4", "regenerate figure4", _suite_args(_cmd_figure4)),
+    ("figure5", "regenerate figure5", _suite_args(_cmd_figure5)),
+    ("figure6", "regenerate figure6", _suite_args(_cmd_figure6)),
+    ("bench", "run the perf-regression harness "
+              "(writes BENCH_predict.json)", _bench_args),
+    ("serve", "run the HTTP prediction service "
+              "(see docs/SERVICE.md)", _serve_args),
+    ("hunt", "run a deviation-discovery campaign "
+             "(see docs/DISCOVERY.md)", _hunt_args),
+    ("generalize", "widen the witnesses of an existing hunt "
+                   "report into abstract deviation families "
+                   "(see docs/DISCOVERY.md)", _generalize_args),
+)
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``facile`` parser, every subcommand registered.
+
+    With *command*, only that subcommand gets its arguments (the others
+    stay bare, so their modules are not imported); without, all do.
+    """
+    parser = argparse.ArgumentParser(
+        prog="facile",
+        description="Facile reproduction: analytical basic-block "
+                    "throughput prediction",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, add_args in _COMMANDS:
+        cmd = sub.add_parser(name, help=help_text)
+        if command is None or command == name:
+            cmd.set_defaults(func=add_args(cmd))
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Parse *argv* (default: ``sys.argv``) and run one subcommand.
 
+    Only the named subcommand's arguments are built; ``facile --help``
+    and an unknown command get the full parser.
+
     Returns the process exit code: 0 on success, 1 on a failed check
     (e.g. a ``bench`` regression), 2 on bad arguments.
     """
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    names = {name for name, _, _ in _COMMANDS}
+    command = argv[0] if argv and argv[0] in names else None
+    args = build_parser(command).parse_args(argv)
     return args.func(args)
 
 

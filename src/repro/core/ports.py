@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
@@ -74,6 +75,12 @@ def port_multiset(ops: Sequence[PortOp]) -> Dict[PortSet, int]:
 #: recurs across blocks, predictors, and µarchs with equal port maps, so
 #: this deduplicates the quadratic pair-union search engine-wide.
 _PORTS_MEMO: Dict[Tuple[Tuple[Tuple[int, ...], int], ...], PortsResult] = {}
+#: Most entries :data:`_PORTS_MEMO` holds (a columnar core's default
+#: ``max_entries``); past it, the oldest insertion goes first.
+_PORTS_MEMO_MAX = 65536
+#: Serializes the memo's insertions, evictions and clears; lookups take
+#: no lock (a dict read is atomic).
+_PORTS_MEMO_LOCK = threading.Lock()
 
 
 @functools.lru_cache(maxsize=4096)
@@ -92,7 +99,8 @@ def _multiset_key(counts: Mapping[PortSet, int],
 
 def clear_ports_memo() -> None:
     """Drop the global heuristic memo (for tests)."""
-    _PORTS_MEMO.clear()
+    with _PORTS_MEMO_LOCK:
+        _PORTS_MEMO.clear()
     _sorted_ports.cache_clear()
 
 
@@ -148,7 +156,10 @@ def ports_bound_counts(counts: Mapping[PortSet, int]) -> PortsResult:
             best_uops, best_size, best_combo = u, size, pc
     result = PortsResult(Fraction(best_uops, best_size), best_combo,
                          best_uops)
-    _PORTS_MEMO[key] = result
+    with _PORTS_MEMO_LOCK:
+        while len(_PORTS_MEMO) >= _PORTS_MEMO_MAX:
+            del _PORTS_MEMO[next(iter(_PORTS_MEMO))]
+        _PORTS_MEMO[key] = result
     return result
 
 

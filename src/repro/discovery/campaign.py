@@ -88,14 +88,8 @@ _CATEGORY_BY_NAME: Dict[str, Category] = {c.name: c for c in CATEGORIES}
 
 #: Campaign progress counters — purely observational (the CLI heartbeat
 #: reads them); campaign results never depend on the registry.
-_BLOCKS_EVALUATED = metrics.counter(
-    "facile_hunt_blocks_evaluated_total",
-    metrics.METRIC_CATALOG["facile_hunt_blocks_evaluated_total"][1],
-    labels=("uarch",))
-_DEVIATIONS = metrics.counter(
-    "facile_hunt_deviations_total",
-    metrics.METRIC_CATALOG["facile_hunt_deviations_total"][1],
-    labels=("uarch",))
+_BLOCKS_EVALUATED = metrics.catalogued("facile_hunt_blocks_evaluated_total")
+_DEVIATIONS = metrics.catalogued("facile_hunt_deviations_total")
 
 #: A progress hook: called (with no arguments) after every evaluation
 #: batch, from the campaign thread.  Hooks read the metrics registry

@@ -20,28 +20,10 @@ import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bhive.suite import default_suite
+from repro.corpus import load_corpus
 from repro.discovery.abstraction import AbstractBlock, block_features
 from repro.isa.block import BasicBlock
 from repro.uops.database import UopsDatabase
-
-
-def load_corpus(path: str) -> List[str]:
-    """Block hex strings from a warm-up corpus file.
-
-    One block per line; blank lines and ``#`` comments are skipped, and
-    only the first comma-separated field is read — so both plain hex
-    lists and BHive-style ``<hex>,<throughput>`` CSVs work unchanged.
-    """
-    hexes: List[str] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            field = line.split(",", 1)[0].strip()
-            if field:
-                hexes.append(field)
-    return hexes
 
 
 def load_coverage_corpus(path: Optional[str] = None,

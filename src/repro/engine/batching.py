@@ -60,10 +60,8 @@ DEFAULT_MAX_BATCH = 64
 _Entry = Tuple[BasicBlock, ThroughputMode, Future, Optional[float],
                Optional[str]]
 
-_WINDOW_SIZE = metrics.histogram(
-    "facile_batch_window_size",
-    metrics.METRIC_CATALOG["facile_batch_window_size"][1],
-    labels=("uarch",), buckets=metrics.SIZE_BUCKETS)
+_WINDOW_SIZE = metrics.catalogued("facile_batch_window_size",
+                                  buckets=metrics.SIZE_BUCKETS)
 
 
 class MicroBatcher:

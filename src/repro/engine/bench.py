@@ -101,10 +101,7 @@ DEFAULT_SERVICE_CLIENTS = 8
 #: Paths measured by the harness.
 PATHS = ("single", "single_object", "cached", "service")
 
-_PATHS_MEASURED = metrics.counter(
-    "facile_bench_paths_total",
-    metrics.METRIC_CATALOG["facile_bench_paths_total"][1],
-    labels=("path",))
+_PATHS_MEASURED = metrics.catalogued("facile_bench_paths_total")
 
 
 def run_perf_harness(size: int = DEFAULT_SIZE, seed: int = DEFAULT_SEED,

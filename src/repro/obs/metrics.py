@@ -44,7 +44,7 @@ __all__ = [
     "DURATION_BUCKETS_MS", "SIZE_BUCKETS",
     "Counter", "Gauge", "Histogram", "Registry", "Family",
     "REGISTRY", "counter", "gauge", "histogram", "counter_value",
-    "METRIC_CATALOG", "exposition", "parse_exposition",
+    "METRIC_CATALOG", "catalogued", "exposition", "parse_exposition",
 ]
 
 COUNTER = "counter"
@@ -331,14 +331,17 @@ class Registry:
         return flat
 
     def exposition(self,
-                   catalog: Optional[Mapping[str, Tuple[str, str]]] = None
+                   catalog: Optional[Mapping[str, "CatalogEntry"]] = None
                    ) -> str:
         """Render Prometheus text exposition format 0.0.4.
 
-        With ``catalog``, every catalogued metric is emitted even when
-        it has no samples yet (``# HELP``/``# TYPE`` headers, plus a
-        zero sample for unlabelled counters/gauges) so a scrape always
-        advertises the full documented surface.
+        With ``catalog`` (name -> kind, help, label names), every
+        catalogued metric is emitted even when it has no samples yet
+        (``# HELP``/``# TYPE`` headers, plus a zero sample for an
+        unlabelled counter or gauge) so a scrape always advertises the
+        full documented surface.  A family is labelled when its
+        registered metric or, failing one, its catalog entry names
+        labels.
         """
         with self._lock:
             metrics = dict(self._metrics)
@@ -361,7 +364,7 @@ class Registry:
             elif family is not None:
                 kind, help_text = family.kind, family.help
             else:
-                kind, help_text = catalog[name]  # type: ignore[index]
+                kind, help_text, _ = catalog[name]  # type: ignore[index]
             if catalog and name in catalog and not help_text:
                 help_text = catalog[name][1]
             if help_text:
@@ -394,8 +397,13 @@ class Registry:
                     emitted += 1
                     lines.append(_sample_line(name, labels, value))
             if emitted == 0 and kind in (COUNTER, GAUGE):
-                unlabelled = metric is None or not metric.label_names
-                if unlabelled:
+                if metric is not None:
+                    labels = metric.label_names
+                elif catalog and name in catalog:
+                    labels = catalog[name][2]
+                else:
+                    labels = ()
+                if not labels:
                     lines.append(_sample_line(name, {}, 0.0))
         return "\n".join(lines) + "\n"
 
@@ -429,61 +437,87 @@ def counter_value(name: str, **labels: object) -> float:
 # The documented metric catalog.
 #
 # Every name here appears in docs/OBSERVABILITY.md (scripts/check_docs.py
-# enforces the mapping in both directions) and in every /v1/metrics
-# scrape, observed or not.  name -> (kind, help).
+# enforces the mapping and the label names in both directions) and in
+# every /v1/metrics scrape, observed or not.  name -> (kind, help, label
+# names).  The label names live here only: the modules that register a
+# catalogued metric do so through :func:`catalogued`, and a scrape pads
+# an unobserved family by them (a labelled one gets no zero sample).
 # ---------------------------------------------------------------------------
 
-METRIC_CATALOG: Dict[str, Tuple[str, str]] = {
+CatalogEntry = Tuple[str, str, Tuple[str, ...]]
+
+METRIC_CATALOG: Dict[str, CatalogEntry] = {
     "facile_requests_total":
-        (COUNTER, "Requests accepted, by endpoint"),
+        (COUNTER, "Requests accepted, by endpoint", ("endpoint",)),
     "facile_request_errors_total":
-        (COUNTER, "Requests answered with an error envelope, by endpoint"),
+        (COUNTER, "Requests answered with an error envelope, by endpoint",
+         ("endpoint",)),
     "facile_request_duration_ms":
-        (HISTOGRAM, "Wall time per request, by route"),
+        (HISTOGRAM, "Wall time per request, by route", ("route",)),
     "facile_slow_requests_total":
-        (COUNTER, "Requests slower than REPRO_SLOW_MS, by route"),
+        (COUNTER, "Requests slower than REPRO_SLOW_MS, by route",
+         ("route",)),
     "facile_span_duration_ms":
-        (HISTOGRAM, "Wall time per traced span"),
+        (HISTOGRAM, "Wall time per traced span", ("span",)),
     "facile_response_cache_hits_total":
-        (COUNTER, "Response-fragment cache hits, by uarch"),
+        (COUNTER, "Response-fragment cache hits, by uarch", ("uarch",)),
     "facile_response_cache_misses_total":
-        (COUNTER, "Response-fragment cache misses, by uarch"),
+        (COUNTER, "Response-fragment cache misses, by uarch", ("uarch",)),
     "facile_analysis_cache_hits_total":
         (COUNTER, "Shard core lookups answered by a compiled entry "
-                  "(raw + signature hits), by uarch"),
+                  "(raw + signature hits), by uarch", ("uarch",)),
     "facile_analysis_cache_misses_total":
-        (COUNTER, "Shard core lookups that compiled a new entry, by uarch"),
+        (COUNTER, "Shard core lookups that compiled a new entry, by uarch",
+         ("uarch",)),
     "facile_batcher_requests_total":
-        (COUNTER, "Requests admitted to the micro-batcher, by uarch"),
+        (COUNTER, "Requests admitted to the micro-batcher, by uarch",
+         ("uarch",)),
     "facile_batcher_batches_total":
-        (COUNTER, "Batch windows dispatched, by uarch"),
+        (COUNTER, "Batch windows dispatched, by uarch", ("uarch",)),
     "facile_batcher_shed_total":
-        (COUNTER, "Requests shed at the admission gate, by uarch"),
+        (COUNTER, "Requests shed at the admission gate, by uarch",
+         ("uarch",)),
     "facile_batcher_deadline_drops_total":
-        (COUNTER, "Requests dropped in-queue past their deadline, by uarch"),
+        (COUNTER, "Requests dropped in-queue past their deadline, by uarch",
+         ("uarch",)),
     "facile_batch_window_size":
-        (HISTOGRAM, "Dispatched batch window sizes, by uarch"),
+        (HISTOGRAM, "Dispatched batch window sizes, by uarch", ("uarch",)),
     "facile_shard_respawns_total":
-        (COUNTER, "Shard worker processes respawned after a crash, by uarch"),
+        (COUNTER, "Shard worker processes respawned after a crash, by uarch",
+         ("uarch",)),
     "facile_shard_fallback_total":
-        (COUNTER, "Blocks served by the in-process fallback engine, by uarch"),
+        (COUNTER, "Blocks served by the in-process fallback engine, by uarch",
+         ("uarch",)),
     "facile_breaker_open_total":
-        (COUNTER, "Circuit breaker trips (CLOSED/HALF_OPEN -> OPEN), by breaker"),
+        (COUNTER, "Circuit breaker trips (CLOSED/HALF_OPEN -> OPEN), by "
+                  "breaker", ("breaker",)),
     "facile_retries_total":
-        (COUNTER, "Retry backoffs taken (client transport and predictors)"),
+        (COUNTER, "Retry backoffs taken (client transport and predictors)",
+         ()),
     "facile_service_uptime_seconds":
-        (GAUGE, "Seconds since the service started"),
+        (GAUGE, "Seconds since the service started", ()),
     "facile_hunt_blocks_evaluated_total":
-        (COUNTER, "Campaign blocks evaluated, by uarch"),
+        (COUNTER, "Campaign blocks evaluated, by uarch", ("uarch",)),
     "facile_hunt_deviations_total":
-        (COUNTER, "Campaign deviations recorded, by uarch"),
+        (COUNTER, "Campaign deviations recorded, by uarch", ("uarch",)),
     "facile_bench_paths_total":
-        (COUNTER, "Bench harness paths measured, by path"),
+        (COUNTER, "Bench harness paths measured, by path", ("path",)),
 }
 
 
+_MAKERS = {COUNTER: counter, GAUGE: gauge, HISTOGRAM: histogram}
+
+
+def catalogued(name: str, **kwargs) -> _Metric:
+    """The process registry's metric *name*, registered with the kind,
+    help text and label names of its catalog entry (*kwargs*: histogram
+    ``buckets``)."""
+    kind, help_text, labels = METRIC_CATALOG[name]
+    return _MAKERS[kind](name, help_text, labels, **kwargs)
+
+
 def exposition(registry: Optional[Registry] = None,
-               catalog: Optional[Mapping[str, Tuple[str, str]]] = None) -> str:
+               catalog: Optional[Mapping[str, CatalogEntry]] = None) -> str:
     """Exposition of ``registry`` (default: the process registry),
     padded with the documented catalog by default."""
     reg = REGISTRY if registry is None else registry

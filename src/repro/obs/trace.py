@@ -41,10 +41,7 @@ def new_trace_id() -> str:
 
 
 def _span_histogram() -> metrics.Histogram:
-    return metrics.histogram(
-        "facile_span_duration_ms",
-        metrics.METRIC_CATALOG["facile_span_duration_ms"][1],
-        labels=("span",))
+    return metrics.catalogued("facile_span_duration_ms")
 
 
 class Span:

@@ -31,10 +31,7 @@ CLOSED, OPEN, HALF_OPEN = "closed", "open", "half_open"
 
 #: Closed→open and half-open→open transitions both land in
 #: _trip_locked, so this counter sees every trip exactly once.
-_BREAKER_OPENS = metrics.counter(
-    "facile_breaker_open_total",
-    metrics.METRIC_CATALOG["facile_breaker_open_total"][1],
-    labels=("breaker",))
+_BREAKER_OPENS = metrics.catalogued("facile_breaker_open_total")
 
 #: Defaults: open after 3 consecutive failures, probe again after 30 s.
 DEFAULT_FAILURE_THRESHOLD = 3

@@ -26,9 +26,7 @@ DEFAULT_CAP = 2.0
 
 #: Every backoff across the repo funnels through RetryPolicy.backoff,
 #: which makes it the one choke point for the global retry counter.
-_RETRIES = metrics.counter(
-    "facile_retries_total",
-    metrics.METRIC_CATALOG["facile_retries_total"][1])
+_RETRIES = metrics.catalogued("facile_retries_total")
 
 
 class RetryPolicy:

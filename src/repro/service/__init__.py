@@ -22,14 +22,11 @@ has four modules:
   :class:`PredictionResult` / :class:`BulkResult` views.
 
 Endpoint reference and schemas: ``docs/SERVICE.md``.
-"""
 
-from repro.service.client import BulkResult, PredictionResult, \
-    ServiceClient, ServiceError
-from repro.service.serialize import API_VERSION, ERROR_CODES, \
-    RequestError, json_bytes, prediction_to_dict
-from repro.service.server import PredictionService
-from repro.service.shard import ShardEngine
+The names below are exposed lazily, so importing one module of the
+package loads only that module: the wire format does not pull in the
+event loop, and the server does not pull in ``urllib``.
+"""
 
 __all__ = [
     "API_VERSION",
@@ -44,3 +41,25 @@ __all__ = [
     "json_bytes",
     "prediction_to_dict",
 ]
+
+_LAZY = {
+    "API_VERSION": "repro.service.serialize",
+    "BulkResult": "repro.service.client",
+    "ERROR_CODES": "repro.service.serialize",
+    "PredictionResult": "repro.service.client",
+    "PredictionService": "repro.service.server",
+    "RequestError": "repro.service.serialize",
+    "ServiceClient": "repro.service.client",
+    "ServiceError": "repro.service.client",
+    "ShardEngine": "repro.service.shard",
+    "json_bytes": "repro.service.serialize",
+    "prediction_to_dict": "repro.service.serialize",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is not None:
+        import importlib
+        return getattr(importlib.import_module(module), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -38,7 +38,6 @@ Endpoint reference with schemas: ``docs/SERVICE.md``.
 from __future__ import annotations
 
 import asyncio
-import http.client
 import math
 import socket
 import sys
@@ -48,6 +47,7 @@ import traceback
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from collections import OrderedDict
+from http import HTTPStatus
 
 from repro.core.components import ThroughputMode
 from repro.engine.batching import DEFAULT_MAX_BATCH, MicroBatcher
@@ -111,22 +111,10 @@ METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 # Request-level metrics (docs/OBSERVABILITY.md).  Module-level so the
 # hot path is a dict lookup + locked add, no registry traversal.
-_REQUESTS = metrics.counter(
-    "facile_requests_total",
-    metrics.METRIC_CATALOG["facile_requests_total"][1],
-    labels=("endpoint",))
-_REQUEST_ERRORS = metrics.counter(
-    "facile_request_errors_total",
-    metrics.METRIC_CATALOG["facile_request_errors_total"][1],
-    labels=("endpoint",))
-_REQUEST_DURATION = metrics.histogram(
-    "facile_request_duration_ms",
-    metrics.METRIC_CATALOG["facile_request_duration_ms"][1],
-    labels=("route",))
-_SLOW_REQUESTS = metrics.counter(
-    "facile_slow_requests_total",
-    metrics.METRIC_CATALOG["facile_slow_requests_total"][1],
-    labels=("route",))
+_REQUESTS = metrics.catalogued("facile_requests_total")
+_REQUEST_ERRORS = metrics.catalogued("facile_request_errors_total")
+_REQUEST_DURATION = metrics.catalogued("facile_request_duration_ms")
+_SLOW_REQUESTS = metrics.catalogued("facile_slow_requests_total")
 
 #: Route → core handler method name (every route but ``/v1/metrics``).
 _CORE_HANDLERS = {
@@ -137,7 +125,9 @@ _CORE_HANDLERS = {
     "/v1/compare": "_core_compare",
 }
 
-_REASONS = http.client.responses
+#: Status code -> reason phrase (``http.client.responses`` without
+#: importing the HTTP client).
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
 
 
 def bulk_result_bytes(uarch: str, mode_value: str,

@@ -1,12 +1,15 @@
 """Port-contention bound tests, incl. the heuristic-vs-LP property."""
 
 import random
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import ports as ports_module
 from repro.core.ports import (
     clear_ports_memo,
     critical_instructions,
@@ -142,3 +145,70 @@ class TestIntegerSearch:
         result = ports_bound_counts(counts)
         assert result.critical_combination == frozenset({0})
         assert (result.bound, result.critical_uops) == (2, 2)
+
+
+class TestMemoBound:
+    """The process-wide heuristic memo keeps at most ``_PORTS_MEMO_MAX``
+    entries, evicting the oldest, and an evicted multiset is simply
+    computed again."""
+
+    BOUND = 8
+
+    def multisets(self, n):
+        """*n* distinct port multisets (the count of one class differs)."""
+        return [Counter({frozenset({0}): k, frozenset({0, 1}): 1})
+                for k in range(1, n + 1)]
+
+    def test_memo_stays_within_its_bound(self, monkeypatch):
+        monkeypatch.setattr(ports_module, "_PORTS_MEMO_MAX", self.BOUND)
+        clear_ports_memo()
+        multisets = self.multisets(5 * self.BOUND)
+        try:
+            # Twice over: the second pass meets evicted and kept keys.
+            for counts in multisets + multisets[::-1]:
+                result = ports_bound_counts(counts)
+                assert len(ports_module._PORTS_MEMO) <= self.BOUND
+                assert (result.bound, result.critical_combination,
+                        result.critical_uops) == \
+                    brute_force_pair_unions(counts)
+        finally:
+            clear_ports_memo()
+
+    def test_concurrent_evictions(self, monkeypatch):
+        # A tiny bound makes nearly every call evict, on more threads
+        # than cores, switching as often as the interpreter allows.
+        monkeypatch.setattr(ports_module, "_PORTS_MEMO_MAX", 2)
+        clear_ports_memo()
+        multisets = self.multisets(64)
+        want = [brute_force_pair_unions(counts) for counts in multisets]
+        failures = []
+
+        def run(offset):
+            for i in range(3000):
+                j = (offset + 7 * i) % len(multisets)
+                try:
+                    result = ports_bound_counts(multisets[j])
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    failures.append((j, repr(exc)))
+                    continue
+                got = (result.bound, result.critical_combination,
+                       result.critical_uops)
+                if got != want[j]:
+                    failures.append((j, got))
+                if len(ports_module._PORTS_MEMO) > 2:
+                    failures.append((j, "memo over its bound"))
+
+        threads = [threading.Thread(target=run, args=(k,), daemon=True)
+                   for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            clear_ports_memo()
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []

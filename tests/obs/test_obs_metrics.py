@@ -170,12 +170,30 @@ class TestExposition:
         text = Registry().exposition(METRIC_CATALOG)
         families = parse_exposition(text)
         assert set(METRIC_CATALOG) <= set(families)
-        for name, (kind, help_text) in METRIC_CATALOG.items():
+        for name, (kind, help_text, _) in METRIC_CATALOG.items():
             assert families[name]["kind"] == kind
             assert families[name]["help"] == help_text
         # Unlabelled counters get an explicit zero sample.
         assert ("facile_retries_total", {}, 0.0) in \
             families["facile_retries_total"]["samples"]
+
+    def test_catalog_pads_labelled_families_without_samples(self):
+        # An unobserved labelled family renders its headers only, whether
+        # or not the module registering it was imported; a zero sample
+        # without labels would be a series no observation ever feeds.
+        reg = Registry()
+        reg.register_collector(lambda: [Family(
+            "facile_response_cache_hits_total", COUNTER, "", [])])
+        families = parse_exposition(reg.exposition(METRIC_CATALOG))
+        for name, (kind, _, labels) in METRIC_CATALOG.items():
+            if labels:
+                assert all(sample_labels for _, sample_labels, _
+                           in families[name]["samples"]), name
+        assert families["facile_response_cache_hits_total"]["samples"] == []
+        assert families["facile_retries_total"]["samples"] == [
+            ("facile_retries_total", {}, 0.0)]
+        assert families["facile_service_uptime_seconds"]["samples"] == [
+            ("facile_service_uptime_seconds", {}, 0.0)]
 
     def test_label_values_are_escaped(self):
         reg = Registry()
@@ -203,12 +221,28 @@ class TestExposition:
 
 class TestCatalogHygiene:
     def test_catalog_names_and_kinds(self):
-        for name, (kind, help_text) in METRIC_CATALOG.items():
+        for name, (kind, help_text, _) in METRIC_CATALOG.items():
             assert name.startswith("facile_")
             assert kind in (COUNTER, GAUGE, HISTOGRAM)
             assert help_text
             if kind == COUNTER:
                 assert name.endswith("_total")
+
+    def test_registered_metrics_carry_the_catalog_labels(self):
+        import repro.discovery.campaign  # noqa: F401
+        import repro.engine.batching  # noqa: F401
+        import repro.engine.bench  # noqa: F401
+        import repro.obs.trace  # noqa: F401
+        import repro.robustness.breaker  # noqa: F401
+        import repro.robustness.retry  # noqa: F401
+        import repro.service.server  # noqa: F401
+
+        registered = {name: metric.label_names for name, metric
+                      in metrics.REGISTRY._metrics.items()
+                      if name in METRIC_CATALOG}
+        assert len(registered) >= 10
+        for name, labels in registered.items():
+            assert labels == METRIC_CATALOG[name][2], name
 
     def test_module_exposition_covers_the_catalog(self):
         # The real /v1/metrics surface: the process registry padded

@@ -115,7 +115,7 @@ class TestMetricsEndpoint:
         assert headers["Content-Type"] == METRICS_CONTENT_TYPE
         families = parse_exposition(raw.decode())
         assert set(METRIC_CATALOG) <= set(families)
-        for name, (kind, _) in METRIC_CATALOG.items():
+        for name, (kind, _, _) in METRIC_CATALOG.items():
             assert families[name]["kind"] == kind, name
 
     def test_request_counters_move_between_scrapes(self, service):

@@ -1,8 +1,16 @@
 """CLI smoke tests."""
 
+import argparse
+
 import pytest
 
+from repro import cli
 from repro.cli import main
+
+#: Every subcommand, in ``facile --help`` order.
+SUBCOMMANDS = ("predict", "table1", "table2", "table3", "table4",
+               "figure3", "figure4", "figure5", "figure6", "bench",
+               "serve", "hunt", "generalize")
 
 
 class TestPredict:
@@ -117,3 +125,54 @@ class TestGeneralize:
         assert generalized["schema"] == "facile-hunt-report/v2"
         assert generalized["config"]["generalize"] is True
         assert "families" in generalized
+
+
+class TestParser:
+    """``main()`` adds the arguments of the requested subcommand only,
+    and they equal :func:`repro.cli.build_parser`'s — the parser
+    ``scripts/check_docs.py`` reads for its CLI and serve-flag checks."""
+
+    @staticmethod
+    def subparsers(parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                return action.choices
+        raise AssertionError("no subparsers")
+
+    @staticmethod
+    def description(cmd):
+        """Every option string, default, choice and help text, plus the
+        handler and the rendered help."""
+        actions = [(a.option_strings, a.dest, a.default, a.choices,
+                    a.help, a.nargs, a.type, a.metavar, a.required,
+                    a.const) for a in cmd._actions]
+        return actions, cmd.get_default("func"), cmd.format_help()
+
+    def built_by_main(self, monkeypatch, argv):
+        """The parser ``main(argv)`` builds (it exits while parsing)."""
+        built = []
+        real = cli.build_parser
+
+        def recording(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", recording)
+        with pytest.raises(SystemExit):
+            main(argv)
+        (parser,) = built
+        return parser
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_main_builds_only_the_requested_subcommand(
+            self, name, monkeypatch, capsys):
+        parser = self.built_by_main(monkeypatch, [name, "--help"])
+        assert "usage: facile " + name in capsys.readouterr().out
+        full = self.subparsers(cli.build_parser())
+        built = self.subparsers(parser)
+        assert tuple(full) == tuple(built) == SUBCOMMANDS
+        assert self.description(built[name]) == \
+            self.description(full[name])
+        for other, cmd in built.items():
+            if other != name:
+                assert [a.dest for a in cmd._actions] == ["help"], other

@@ -146,6 +146,24 @@ class TestApiConformance:
         assert not any("facile_span_duration_ms" in p
                        for p in problems)
 
+    def test_metric_label_drift_detected(self, tmp_path):
+        # Both directions: a catalogued label the row omits, and a
+        # documented label the catalog does not have.
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        (docs / "OBSERVABILITY.md").write_text(
+            "| metric | kind | labels | meaning |\n|---|---|---|---|\n"
+            "| `facile_requests_total` | counter | — | x |\n"
+            "| `facile_retries_total` | counter | `uarch` | x |\n"
+            "| `facile_batch_window_size` | histogram | `uarch` | x |\n")
+        problems = check_docs.metrics_conformance_problems(
+            str(tmp_path))
+        assert "docs/OBSERVABILITY.md: `facile_requests_total` is " \
+            "labelled `endpoint`, which its row omits" in problems
+        assert "docs/OBSERVABILITY.md: the row of `facile_retries_total` " \
+            "names label `uarch`, which the catalog does not" in problems
+        assert not any("facile_batch_window_size" in p for p in problems)
+
     def test_repo_observability_doc_conforms(self):
         assert check_docs.metrics_conformance_problems(REPO_ROOT) == []
 
@@ -230,3 +248,37 @@ class TestSectionReferences:
         assert self.ref_tree(
             tmp_path, 'see `docs/NOPE.md` § "Intro"\n') == [
             'README.md: `docs/NOPE.md` § "Intro" names a missing file']
+
+
+class TestPythonFloor:
+    def floor_tree(self, tmp_path, floor, matrix, readme=""):
+        (tmp_path / "pyproject.toml").write_text(
+            f'[project]\nname = "x"\nrequires-python = ">={floor}"\n')
+        workflows = tmp_path / ".github" / "workflows"
+        workflows.mkdir(parents=True, exist_ok=True)
+        (workflows / "ci.yml").write_text(
+            "jobs:\n  test:\n    strategy:\n      matrix:\n"
+            f"        python-version: {matrix}\n")
+        (tmp_path / "README.md").write_text(readme)
+        return check_docs.python_floor_problems(str(tmp_path))
+
+    def test_floor_matching_the_lowest_tested_python_passes(self, tmp_path):
+        assert self.floor_tree(tmp_path, "3.9", '["3.12", "3.9", "3.11"]',
+                               "Python 3.9+ is sufficient.") == []
+
+    def test_floor_below_the_matrix_detected(self, tmp_path):
+        assert self.floor_tree(tmp_path, "3.8", '["3.9", "3.10"]') == [
+            "pyproject.toml: requires-python >=3.8, but CI's lowest "
+            "tested Python is 3.9"]
+
+    def test_versions_compare_numerically(self, tmp_path):
+        # "3.10" sorts before "3.9" as text, not as a version.
+        assert self.floor_tree(tmp_path, "3.10", '["3.9", "3.10"]') == [
+            "pyproject.toml: requires-python >=3.10, but CI's lowest "
+            "tested Python is 3.9"]
+        assert self.floor_tree(tmp_path, "3.10", '["3.11", "3.10"]') == []
+
+    def test_stale_readme_floor_detected(self, tmp_path):
+        assert self.floor_tree(tmp_path, "3.9", '["3.9"]',
+                               "Python 3.8+ is sufficient.") == [
+            "README.md: says Python 3.8+, but requires-python is >=3.9"]
