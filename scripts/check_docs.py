@@ -42,6 +42,10 @@ Checks, over ``README.md`` and every ``docs/*.md``:
    lowest Python version of the test matrix in
    ``.github/workflows/ci.yml``, and the README's "Python X.Y+" says the
    same (the package is not tested below its declared floor).
+9. **Stats keys** — the ``cache`` object of the ``/v1/stats`` example
+   in ``docs/SERVICE.md`` lists exactly the keys of
+   ``ColumnarCore.stats()``, which the server reports there: none
+   missing, none the core no longer counts.
 
 Run directly (exits non-zero and lists problems on failure)::
 
@@ -50,6 +54,7 @@ Run directly (exits non-zero and lists problems on failure)::
 or through the test suite (``tests/test_docs.py``).
 """
 
+import json
 import os
 import re
 import sys
@@ -324,6 +329,42 @@ def section_ref_problems(root: str = REPO_ROOT) -> List[str]:
     return problems
 
 
+#: The ``/v1/stats`` section of SERVICE.md, up to the next section.
+STATS_SECTION_RE = re.compile(r"^## `GET /v1/stats`$(.*?)(?=^## |\Z)",
+                              re.MULTILINE | re.DOTALL)
+#: The ``cache`` object of that section's example: a flat JSON object.
+STATS_CACHE_RE = re.compile(r'"cache":\s*(\{[^{}]*\})')
+
+
+def stats_cache_problems(root: str = REPO_ROOT) -> List[str]:
+    """Drift between the ``cache`` object of ``docs/SERVICE.md``'s
+    ``/v1/stats`` example and the keys of ``ColumnarCore.stats()``
+    (both ways).  A missing SERVICE.md is reported by
+    :func:`api_conformance_problems`."""
+    service_md = os.path.join(root, "docs", "SERVICE.md")
+    if not os.path.exists(service_md):
+        return []
+    with open(service_md, encoding="utf-8") as handle:
+        section = STATS_SECTION_RE.search(handle.read())
+    example = STATS_CACHE_RE.search(section.group(1)) if section else None
+    if example is None:
+        return ["docs/SERVICE.md: the `GET /v1/stats` section has no "
+                "example `\"cache\"` object"]
+    documented = set(json.loads(example.group(1)))
+    sys.path.insert(0, os.path.join(root, "src"))
+    from repro.engine.columnar import ColumnarCore
+    from repro.uarch import uarch_by_name
+
+    keys = set(ColumnarCore(uarch_by_name("SKL")).stats())
+    problems = [f"docs/SERVICE.md: the `/v1/stats` example's `cache` "
+                f"omits `{key}`, a key of `ColumnarCore.stats()`"
+                for key in sorted(keys - documented)]
+    problems.extend(f"docs/SERVICE.md: the `/v1/stats` example's `cache` "
+                    f"lists `{key}`, which `ColumnarCore.stats()` does "
+                    "not report" for key in sorted(documented - keys))
+    return problems
+
+
 #: ``requires-python = ">=3.9"`` in pyproject.toml.
 FLOOR_RE = re.compile(r'^requires-python\s*=\s*">=\s*(\d+\.\d+)',
                       re.MULTILINE)
@@ -394,6 +435,7 @@ def run_checks(root: str = REPO_ROOT) -> List[str]:
     problems.extend(knob_problems(root))
     problems.extend(section_ref_problems(root))
     problems.extend(python_floor_problems(root))
+    problems.extend(stats_cache_problems(root))
     return problems
 
 

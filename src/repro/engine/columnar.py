@@ -17,7 +17,10 @@ per-form rows:
   is a pure function of its signature: payload bytes only influence the
   model through ``disp != 0`` (memory-operand component counts), so two
   blocks that differ only in displacement/immediate *values* share one
-  compiled entry — unseen blocks hit warm sub-results.
+  compiled entry — unseen blocks hit warm sub-results.  The signature
+  is the only key: a core keeps no index of exact bytes, so its memory
+  follows the signatures it has compiled, not the byte strings it has
+  seen.
 * **Per-form facts, once per process.**  The first instruction seen of
   a signature item is kept as its representative; the µarch-independent
   facts of its form (layout, branch flags, fusion class, memory operand
@@ -508,12 +511,14 @@ class ColumnarCore:
     the per-item rows are held per core instance (one core serves one
     µarch + variant), each in an LRU of *max_entries*; the form trie,
     the representative instructions and the form facts are shared
-    process-wide.
+    process-wide.  Entries are keyed by signature alone: every call
+    walks the trie, so a repeat of exact bytes finds its entry as any
+    payload variant does, and an evicted entry is held by nothing.
 
     Attributes:
-        raw_hits / sig_hits / misses: lookup counters — a ``sig_hit``
-            is the headline event: a never-seen raw block resolved to
-            an already-compiled signature entry.
+        sig_hits / misses: lookup counters — a ``sig_hit`` is a block
+            resolved to an already-compiled signature entry (repeated
+            bytes included), a ``miss`` a block that compiled one.
     """
 
     def __init__(self, cfg: MicroArchConfig, *,
@@ -541,9 +546,7 @@ class ColumnarCore:
             for mode in ThroughputMode}
         self.max_entries = max_entries
         self._entries: "OrderedDict[Signature, _BlockEntry]" = OrderedDict()
-        self._by_raw: "OrderedDict[bytes, _BlockEntry]" = OrderedDict()
         self._rows: "OrderedDict[_SigItem, _Row]" = OrderedDict()
-        self.raw_hits = 0
         self.sig_hits = 0
         self.misses = 0
 
@@ -698,27 +701,6 @@ class ColumnarCore:
         _decode_missing_reps(raw, key)
         return self._entry_for_sig(key)
 
-    def _resolve_block(self, block: BasicBlock) -> _BlockEntry:
-        raw = block.raw
-        entry = self._by_raw.get(raw)
-        if entry is not None:
-            self.raw_hits += 1
-            self._by_raw.move_to_end(raw)
-            return entry
-        entry = self._entry_for_block(block)
-        self._remember(self._by_raw, raw, entry)
-        return entry
-
-    def _resolve_raw(self, raw: bytes) -> _BlockEntry:
-        entry = self._by_raw.get(raw)
-        if entry is not None:
-            self.raw_hits += 1
-            self._by_raw.move_to_end(raw)
-            return entry
-        entry = self._entry_for_raw(raw)
-        self._remember(self._by_raw, raw, entry)
-        return entry
-
     def _predec_bound(self, entry: _BlockEntry,
                       mode: ThroughputMode) -> Fraction:
         if self.simple_predec:
@@ -807,7 +789,7 @@ class ColumnarCore:
     def predict(self, block: BasicBlock,
                 mode: ThroughputMode) -> Prediction:
         """Predict one (decoded) block — drop-in for ``Facile.predict``."""
-        return self._predict_entry(self._resolve_block(block), mode)
+        return self._predict_entry(self._entry_for_block(block), mode)
 
     def predict_many(self, blocks: Iterable[BasicBlock],
                      mode: ThroughputMode) -> List[Prediction]:
@@ -822,14 +804,14 @@ class ColumnarCore:
         Decode errors propagate exactly as ``BasicBlock.from_bytes``
         would raise them.
         """
-        return self._predict_entry(self._resolve_raw(raw), mode)
+        return self._predict_entry(self._entry_for_raw(raw), mode)
 
     def predict_raw_counted(self, raw: bytes, mode: ThroughputMode
                             ) -> Tuple[Prediction, int]:
         """:meth:`predict_raw` plus the block's instruction count, read
         off the compiled signature, so a caller holding only bytes can
         serialize the prediction without decoding the block."""
-        entry = self._resolve_raw(raw)
+        entry = self._entry_for_raw(raw)
         return self._predict_entry(entry, mode), len(entry.sig)
 
     def predict_raw_many(self, raws: Iterable[bytes],
@@ -844,7 +826,6 @@ class ColumnarCore:
         return {
             "entries": len(self._entries),
             "templates": len(self._rows),
-            "raw_hits": self.raw_hits,
             "sig_hits": self.sig_hits,
             "misses": self.misses,
         }
@@ -858,5 +839,4 @@ class ColumnarCore:
         use ``_reset_global_tables``.
         """
         self._entries.clear()
-        self._by_raw.clear()
         self._rows.clear()

@@ -465,7 +465,7 @@ METRIC_CATALOG: Dict[str, CatalogEntry] = {
         (COUNTER, "Response-fragment cache misses, by uarch", ("uarch",)),
     "facile_analysis_cache_hits_total":
         (COUNTER, "Shard core lookups answered by a compiled entry "
-                  "(raw + signature hits), by uarch", ("uarch",)),
+                  "(signature hits), by uarch", ("uarch",)),
     "facile_analysis_cache_misses_total":
         (COUNTER, "Shard core lookups that compiled a new entry, by uarch",
          ("uarch",)),

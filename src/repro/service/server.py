@@ -577,7 +577,7 @@ class PredictionService:
             cache = runtime.backend.stats()
             if cache:
                 per_uarch["facile_analysis_cache_hits_total"].append(
-                    (labels, cache["raw_hits"] + cache["sig_hits"]))
+                    (labels, cache["sig_hits"]))
                 per_uarch["facile_analysis_cache_misses_total"].append(
                     (labels, cache["misses"]))
         for name, samples in per_uarch.items():

@@ -9,6 +9,7 @@ cache because every predictor comparison reuses the same measurements.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -29,7 +30,14 @@ class Measurement:
     cycles: float
 
 
+#: Process-wide measurements, keyed by (block bytes, µarch, mode).
 _CACHE: Dict[Tuple[bytes, str, str], float] = {}
+#: Most entries :data:`_CACHE` holds (as many as the Ports memo); past
+#: it, the oldest insertion goes first.
+_CACHE_MAX = 65536
+#: Serializes the cache's insertions, evictions and clears; lookups take
+#: no lock (a dict read is atomic).
+_CACHE_LOCK = threading.Lock()
 
 
 def measure(block: BasicBlock, cfg: MicroArchConfig,
@@ -37,13 +45,14 @@ def measure(block: BasicBlock, cfg: MicroArchConfig,
             db: Optional[UopsDatabase] = None,
             use_cache: bool = True) -> float:
     """Measured steady-state cycles/iteration, rounded to 2 decimals."""
-    key = (block.raw, cfg.abbrev, mode.value)
-    if use_cache and key in _CACHE:
-        return _CACHE[key]
+    if use_cache:
+        cached = cached_measurement(block, cfg, mode)
+        if cached is not None:
+            return cached
     simulator = Simulator(cfg, SimOptions(), db)
     cycles = round(simulator.throughput(block, mode), 2)
     if use_cache:
-        _CACHE[key] = cycles
+        store_measurement(block, cfg, mode, cycles)
     return cycles
 
 
@@ -64,11 +73,15 @@ def cached_measurement(block: BasicBlock, cfg: MicroArchConfig,
 
 def store_measurement(block: BasicBlock, cfg: MicroArchConfig,
                       mode: ThroughputMode, cycles: float) -> None:
-    """Insert an externally produced measurement (e.g. from
-    ``measure_many``'s worker pool) into the process-wide cache."""
-    _CACHE[(block.raw, cfg.abbrev, mode.value)] = cycles
+    """Insert a measurement (also one from ``measure_many``'s worker
+    pool) into the process-wide cache."""
+    with _CACHE_LOCK:
+        while len(_CACHE) >= _CACHE_MAX:
+            del _CACHE[next(iter(_CACHE))]
+        _CACHE[(block.raw, cfg.abbrev, mode.value)] = cycles
 
 
 def clear_cache() -> None:
     """Drop all cached measurements (for tests)."""
-    _CACHE.clear()
+    with _CACHE_LOCK:
+        _CACHE.clear()

@@ -1,8 +1,10 @@
 """Columnar-core unit behavior: routing, memoization, bounds, errors."""
 
 import ast
+import gc
 import inspect
 import traceback
+import tracemalloc
 
 import pytest
 
@@ -10,7 +12,7 @@ from repro.bhive.suite import BenchmarkSuite
 from repro.core.components import Component, ThroughputMode
 from repro.core.model import Facile
 from repro.engine import ColumnarCore, Engine, resolve_core
-from repro.engine.columnar import DEFAULT_CORE
+from repro.engine.columnar import DEFAULT_CORE, _BlockEntry
 from repro.isa.block import BasicBlock
 from repro.uarch import uarch_by_name
 
@@ -126,11 +128,14 @@ class TestMemoization:
             assert core.predict(block, ThroughputMode.LOOP) \
                 == reference.predict(block, ThroughputMode.LOOP)
 
-    def test_raw_lru_hit(self, blocks):
+    def test_repeated_bytes_are_a_sig_hit(self, blocks):
+        # No index of exact bytes: the repeat walks the trie to the
+        # entry the first call compiled.
         core = ColumnarCore(SKL)
         core.predict(blocks[0], ThroughputMode.LOOP)
         core.predict_raw(blocks[0].raw, ThroughputMode.LOOP)
-        assert core.stats()["raw_hits"] == 1
+        stats = core.stats()
+        assert (stats["misses"], stats["sig_hits"]) == (1, 1)
 
     def test_max_entries_bound(self, blocks):
         unbounded = ColumnarCore(SKL)
@@ -170,6 +175,58 @@ class TestMemoization:
         assert first.bottlenecks is not second.bottlenecks
         first.bounds.clear()
         assert core.predict(blocks[0], ThroughputMode.LOOP) == second
+
+
+class TestOneEntryTable:
+    """The compiled-entry LRU is a core's only map from a block to its
+    entry: an entry it evicts is freed, and new bytes of compiled
+    signatures leave nothing behind."""
+
+    @staticmethod
+    def entries_alive():
+        gc.collect()
+        return sum(isinstance(obj, _BlockEntry) for obj in gc.get_objects())
+
+    def test_evicted_entries_are_freed_under_repeated_bytes(self, blocks):
+        raws = [block.raw for block in blocks[:8]]
+        before = self.entries_alive()
+        core = ColumnarCore(SKL, max_entries=4)
+        for raw in raws:
+            core.predict_raw(raw, ThroughputMode.LOOP)
+            # The first block's bytes again between new signatures: an
+            # index of exact bytes would keep its entry alive after the
+            # entry table had evicted it.
+            core.predict_raw(raws[0], ThroughputMode.LOOP)
+            assert self.entries_alive() - before <= 4
+        stats = core.stats()
+        assert (stats["entries"], stats["misses"], stats["sig_hits"]) \
+            == (4, 8, 8)
+
+    def test_payload_variants_add_no_memory(self):
+        templates = ("add rax, rbx\nmov ecx, {imm}",
+                     "imul rax, rbx\nadd rdx, {imm}",
+                     "mov rbx, [rsi + 8]\nsub rbx, {imm}",
+                     "lea rax, [rbx + 8]\ncmp rax, {imm}\njne -16")
+        # 500 immediate-only variants of each block, all distinct bytes.
+        variants = [[BasicBlock.from_asm(asm.format(imm=1000 + k)).raw
+                     for k in range(500)] for asm in templates]
+        core = ColumnarCore(SKL)
+        for raws in variants:
+            core.predict_raw(raws[0], ThroughputMode.LOOP)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for raws in variants:
+                for raw in raws:
+                    core.predict_raw(raw, ThroughputMode.LOOP)
+            grown = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert core.stats()["entries"] == 4
+        assert grown < 64 * 1024
 
 
 #: Raw-path errors: (bytes predicted first, so their forms are known;
@@ -246,7 +303,9 @@ class TestErrors:
                 core.predict_raw(raw, ThroughputMode.LOOP)
             depths.append(len(traceback.extract_tb(
                 error.value.__traceback__)))
-        assert core.stats()["raw_hits"] == 49  # the same cached error
+        stats = core.stats()
+        # The same cached error, compiled once.
+        assert (stats["misses"], stats["sig_hits"]) == (1, 49)
         assert depths == [depths[0]] * 50
 
 

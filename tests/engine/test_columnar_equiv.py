@@ -238,8 +238,8 @@ def test_rows_project_like_the_object_model(cfg, swept_blocks):
     raw_only = ColumnarCore(cfg)
     for name, block in swept_blocks:
         context = f"{cfg.abbrev}/{name}/{block.raw.hex()}"
-        sigs = (core._resolve_block(block).sig,
-                raw_only._resolve_raw(block.raw).sig)
+        sigs = (core._entry_for_block(block).sig,
+                raw_only._entry_for_raw(block.raw).sig)
         try:
             analyzed = analyze_block(block, cfg, core.db)
         except UnsupportedInstruction as exc:

@@ -109,15 +109,17 @@ class TestEndpoints:
     def test_stats_reports_cache_and_batcher(self, client, suite):
         hexes = [b.block_l.raw.hex() for b in suite]
         client.predict_bulk(hexes, mode="loop")
+        before = client.stats()["uarchs"]["SKL"]["cache"]
         # The repeat is served from the response-fragment cache on the
         # event loop; the counterfactual request has a different
         # fragment key, so it reaches the shard again and hits the
-        # worker core's raw-bytes table instead.
+        # worker core's compiled entry instead of compiling one.
         client.predict_bulk(hexes, mode="loop")
         client.predict(hexes[0], mode="loop", counterfactuals=True)
         stats = client.stats()
         skl = stats["uarchs"]["SKL"]
-        assert skl["cache"]["raw_hits"] > 0
+        assert skl["cache"]["sig_hits"] == before["sig_hits"] + 1
+        assert skl["cache"]["misses"] == before["misses"]
         assert skl["cache"]["entries"] >= 1
         assert skl["response_cache"]["hits"] >= len(hexes)
         assert skl["batcher"]["requests"] >= len(hexes)

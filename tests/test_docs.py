@@ -214,6 +214,50 @@ class TestApiConformance:
                    for p in problems)
 
 
+class TestStatsCacheKeys:
+    def stats_tree(self, tmp_path, keys):
+        """A SERVICE.md whose ``/v1/stats`` example has a ``cache`` of
+        *keys* (none when None), and a later section with a decoy."""
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        cache = "" if keys is None else '  "cache": {%s},\n' % ", ".join(
+            f'"{key}": 0' for key in keys)
+        (docs / "SERVICE.md").write_text(
+            "## `GET /v1/stats`\n\n```json\n"
+            '{"uarchs": {"SKL": {\n' + cache +
+            '  "batcher": {"requests": 0}}}}\n```\n\n'
+            "## `GET /v1/metrics`\n\n"
+            '`{"cache": {"hits": 1, "misses": 0}}` is not the example\n')
+        return check_docs.stats_cache_problems(str(tmp_path))
+
+    @staticmethod
+    def core_keys():
+        from repro.engine.columnar import ColumnarCore
+        from repro.uarch import uarch_by_name
+        return list(ColumnarCore(uarch_by_name("SKL")).stats())
+
+    def test_matching_keys_pass(self, tmp_path):
+        assert self.stats_tree(tmp_path, self.core_keys()) == []
+
+    def test_extra_key_detected(self, tmp_path):
+        assert self.stats_tree(
+            tmp_path, self.core_keys() + ["raw_hits"]) == [
+            "docs/SERVICE.md: the `/v1/stats` example's `cache` lists "
+            "`raw_hits`, which `ColumnarCore.stats()` does not report"]
+
+    def test_missing_key_detected(self, tmp_path):
+        keys = [key for key in self.core_keys() if key != "misses"]
+        assert self.stats_tree(tmp_path, keys) == [
+            "docs/SERVICE.md: the `/v1/stats` example's `cache` omits "
+            "`misses`, a key of `ColumnarCore.stats()`"]
+
+    def test_missing_example_detected(self, tmp_path):
+        # The decoy after the section does not stand in for it.
+        assert self.stats_tree(tmp_path, None) == [
+            "docs/SERVICE.md: the `GET /v1/stats` section has no "
+            'example `"cache"` object']
+
+
 class TestSectionReferences:
     def ref_tree(self, tmp_path, readme, script=""):
         (tmp_path / "README.md").write_text(readme)
