@@ -46,6 +46,11 @@ Checks, over ``README.md`` and every ``docs/*.md``:
    in ``docs/SERVICE.md`` lists exactly the keys of
    ``ColumnarCore.stats()``, which the server reports there: none
    missing, none the core no longer counts.
+10. **Backticked flags** — every ``--flag`` token inside an inline code
+    span of the README or a ``docs/*.md`` page is a long option of some
+    ``facile`` subcommand in :func:`repro.cli.build_parser` (a doc
+    cannot advertise an option the CLI dropped).  Fenced code blocks
+    are skipped.
 
 Run directly (exits non-zero and lists problems on failure)::
 
@@ -125,6 +130,14 @@ def _subparsers():
 def cli_subcommands() -> List[str]:
     """Every subcommand name registered on the ``facile`` parser."""
     return list(_subparsers())
+
+
+def cli_options() -> Set[str]:
+    """Every long option of every ``facile`` subcommand."""
+    return {option for parser in _subparsers().values()
+            for action in parser._actions
+            for option in action.option_strings
+            if option.startswith("--")}
 
 
 def serve_flags() -> List[str]:
@@ -365,6 +378,41 @@ def stats_cache_problems(root: str = REPO_ROOT) -> List[str]:
     return problems
 
 
+#: An inline code span on one line: `facile table2 --workers 2`.
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+#: A long option inside a code span: --workers, --max-batch.
+LONG_OPTION_RE = re.compile(r"(?<![\w-])(--[a-z][a-z0-9-]*)")
+#: The opening or closing line of a fenced code block.
+FENCE_RE = re.compile(r"^\s*(```|~~~)")
+
+
+def _outside_fences(text: str) -> str:
+    """*text* without its fenced code blocks."""
+    kept, fenced = [], False
+    for line in text.splitlines():
+        if FENCE_RE.match(line):
+            fenced = not fenced
+        elif not fenced:
+            kept.append(line)
+    return "\n".join(kept)
+
+
+def flag_problems(root: str = REPO_ROOT) -> List[str]:
+    """Backticked ``--flag`` tokens of the README and ``docs/*.md``
+    that name no long option of any ``facile`` subcommand."""
+    known = cli_options()
+    problems = []
+    for path in markdown_files(root):
+        with open(path, encoding="utf-8") as handle:
+            spans = CODE_SPAN_RE.findall(_outside_fences(handle.read()))
+        flags = {flag for span in spans
+                 for flag in LONG_OPTION_RE.findall(span)}
+        problems.extend(f"{os.path.relpath(path, root)}: `{flag}` is an "
+                        "option of no `facile` subcommand"
+                        for flag in sorted(flags - known))
+    return problems
+
+
 #: ``requires-python = ">=3.9"`` in pyproject.toml.
 FLOOR_RE = re.compile(r'^requires-python\s*=\s*">=\s*(\d+\.\d+)',
                       re.MULTILINE)
@@ -436,6 +484,7 @@ def run_checks(root: str = REPO_ROOT) -> List[str]:
     problems.extend(section_ref_problems(root))
     problems.extend(python_floor_problems(root))
     problems.extend(stats_cache_problems(root))
+    problems.extend(flag_problems(root))
     return problems
 
 

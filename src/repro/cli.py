@@ -63,8 +63,7 @@ def _add_log_level_arg(cmd: argparse.ArgumentParser) -> None:
 def _cmd_predict(args: argparse.Namespace) -> int:
     from repro.core.components import ThroughputMode
     from repro.core.counterfactual import idealized_speedup
-    from repro.core.model import Facile
-    from repro.engine.columnar import ColumnarCore, resolve_core
+    from repro.engine.columnar import ColumnarCore
     from repro.isa.block import BasicBlock
     from repro.uarch import uarch_by_name
 
@@ -81,9 +80,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         return 2
     mode = (ThroughputMode.LOOP if args.mode == "loop"
             else ThroughputMode.UNROLLED)
-    core = resolve_core(getattr(args, "core", None))
-    predictor = ColumnarCore(cfg) if core == "columnar" else Facile(cfg)
-    prediction = predictor.predict(block, mode)
+    prediction = ColumnarCore(cfg).predict(block, mode)
 
     print(f"block ({len(block)} instructions, {block.num_bytes} bytes):")
     for line in block.text().splitlines():
@@ -112,10 +109,10 @@ def _suite(args: argparse.Namespace):
     from repro.bhive.suite import default_suite
 
     if getattr(args, "workers", None) is not None:
-        from repro.engine import engine as engine_mod
+        from repro.sim.measure import set_default_workers
 
         # Fan the suite's oracle measurements out over a worker pool.
-        engine_mod.set_default_workers(args.workers)
+        set_default_workers(args.workers)
     return default_suite(args.size, args.seed)
 
 
@@ -540,11 +537,6 @@ def _predict_args(cmd: argparse.ArgumentParser) -> Handler:
     cmd.add_argument("--asm", help="assembly text (\\n separated)")
     cmd.add_argument("--hex", help="raw block bytes in hex")
     cmd.add_argument("--file", help="file with assembly text")
-    cmd.add_argument("--core", choices=("object", "columnar"),
-                     default=None,
-                     help="prediction core (default: "
-                          "REPRO_ENGINE_CORE or columnar; both "
-                          "produce identical output)")
     return _cmd_predict
 
 

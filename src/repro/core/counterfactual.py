@@ -41,14 +41,15 @@ def speedup_table(cfg: MicroArchConfig, blocks: Sequence[BasicBlock],
     arithmetic mean of per-block speedups (blocks whose throughput is
     entirely due to the idealized component are skipped).
 
-    The base predictions are produced in one batch by the engine; every
-    idealization is then a cheap recombination of the batch results.
+    The base predictions are produced in one batch by the columnar core;
+    every idealization is then a cheap recombination of the batch
+    results.
     """
-    # Deferred import: the engine builds on repro.core.
-    from repro.engine.engine import Engine
+    # Deferred import: the columnar core builds on repro.core.
+    from repro.engine.columnar import ColumnarCore
 
     speedups: Dict[Component, List[float]] = {c: [] for c in components}
-    predictions = Engine(cfg).predict_many(list(blocks), mode)
+    predictions = ColumnarCore(cfg).predict_many(list(blocks), mode)
     for prediction in predictions:
         for component in speedups:
             value = idealized_speedup(prediction, component)

@@ -225,10 +225,10 @@ class Facile:
         decomposition: per-component bounds, the bottleneck set, the
         front-end path taken, and the critical instructions.
 
-        For batches, prefer :meth:`predict_many` or the engine layer
-        (:class:`repro.engine.Engine`); for serving concurrent
-        callers, the prediction service (``facile serve``) wraps this
-        through :class:`repro.engine.MicroBatcher`.
+        This object model is the reference; the program's prediction
+        paths run its compiled twin,
+        :class:`repro.engine.columnar.ColumnarCore`, which answers
+        bit-for-bit the same predictions.
         """
         analysis = self.cache.analysis(block)
         block = analysis.block

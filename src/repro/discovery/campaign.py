@@ -9,9 +9,10 @@ discovery loop:
    substitute hooks);
 2. **Evaluate** — fan every selected predictor and the oracle simulator
    over the candidates: Facile goes through
-   :meth:`repro.engine.Engine.predict_many` (in-process), measurements
-   through :func:`repro.engine.engine.measure_many`'s worker pool when
-   workers are configured;
+   :meth:`repro.engine.columnar.ColumnarCore.predict_many`
+   (in-process), measurements through
+   :func:`repro.sim.measure.measure_many`'s worker pool when workers
+   are configured;
 3. **Score** — each (block, mode) evaluation gets an interestingness
    score (:mod:`repro.discovery.interestingness`);
 4. **Minimize** — deviating blocks are shrunk by greedy instruction
@@ -64,12 +65,13 @@ from repro.discovery.interestingness import (
 )
 from repro.discovery.minimize import minimize_lines
 from repro.discovery.subsumption import KnownFamily
-from repro.engine.engine import Engine, measure_many
+from repro.engine.cache import AnalysisCache
+from repro.engine.columnar import ColumnarCore
 from repro.isa.assembler import assemble
 from repro.isa.block import BasicBlock
 from repro.obs import metrics
 from repro.robustness.errors import CircuitOpenError
-from repro.sim.measure import measure
+from repro.sim.measure import measure, measure_many
 from repro.uarch import uarch_by_name
 from repro.uops.database import UopsDatabase
 
@@ -266,7 +268,7 @@ class CampaignInterrupted(Exception):
 class _Evaluator:
     """Per-µarch fan-out of all selected tools plus the oracle.
 
-    Facile routes through the batch :class:`Engine` (in-process);
+    Facile runs on a :class:`ColumnarCore` (in-process); it and the
     baseline analogs share the same :class:`UopsDatabase`; oracle
     measurements go through :func:`measure_many`'s worker pool when
     workers are configured and the (equally cached, equally rounded)
@@ -282,7 +284,7 @@ class _Evaluator:
         self.cfg = uarch_by_name(abbrev)
         self.db = UopsDatabase(self.cfg)
         self.n_workers = n_workers
-        self.engine = Engine(self.cfg, db=self.db)
+        self.core = ColumnarCore(self.cfg, db=self.db)
         self.use_facile = "Facile" in predictors
         self.baselines = [
             GuardedPredictor(predictor)
@@ -324,7 +326,7 @@ class _Evaluator:
         """Run every tool plus the oracle over *blocks* (no cache)."""
         values: List[Dict[str, float]] = [{} for _ in blocks]
         if self.use_facile:
-            predictions = self.engine.predict_many(blocks, mode)
+            predictions = self.core.predict_many(blocks, mode)
             for entry, prediction in zip(values, predictions):
                 entry["Facile"] = prediction.cycles
         for predictor in self.baselines:
@@ -445,11 +447,11 @@ def _signature(evaluator: _Evaluator, abbrev: str, mode: ThroughputMode,
                candidate: Candidate, block: BasicBlock,
                score: BlockScore) -> Signature:
     """The generalization signature of one minimized witness."""
-    prediction = evaluator.engine.predict(block, mode)
+    prediction = evaluator.core.predict(block, mode)
     bottleneck = (prediction.bottlenecks[0].value
                   if prediction.bottlenecks else "-")
     ports = port_multiset_signature(
-        evaluator.engine.cache.analysis(block).ops)
+        AnalysisCache.shared(evaluator.db).analysis(block).ops)
     return Signature(uarch=abbrev, mode=mode.value,
                      category=candidate.category, bottleneck=bottleneck,
                      ports=ports, pair=score.pair)

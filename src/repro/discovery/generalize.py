@@ -7,8 +7,9 @@ deviates.  Every widening step is *validated empirically*: fresh
 concrete blocks are sampled from the widened abstraction
 (:meth:`AbstractBlock.sample`) and batch-evaluated through the same
 per-µarch evaluator the campaign uses (Facile via
-``Engine.predict_many``, baselines via their guarded ``predict_many``,
-the oracle via ``measure_many``/``measure``), and the step is kept only
+``ColumnarCore.predict_many``, baselines via their guarded
+``predict_many``, the oracle via ``measure_many``/``measure``), and the
+step is kept only
 when the witness's deviating tool pair keeps disagreeing on (almost)
 all of them.
 

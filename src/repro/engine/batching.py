@@ -14,15 +14,14 @@ two worlds:
   and resolves each group with one ``backend.predict_many`` call, one
   result per payload.
 
-The batcher never looks inside a payload: an
-:class:`~repro.engine.engine.Engine` backend takes blocks and answers
-predictions, the service's shards take ``(raw bytes,
-counterfactuals)`` pairs and answer serialized fragments
-(:mod:`repro.service.shard`).  Because the dispatcher is the only
-thread that touches the backend, its (unsynchronized) caches are never
-accessed concurrently, and the results handed back are exactly what a
-serial ``predict_many`` over the same payloads would return — batching
-changes latency and throughput, never results.
+The batcher never looks inside a payload: its backends, the service's
+shards, take ``(raw bytes, counterfactuals)`` pairs and answer
+serialized fragments (:mod:`repro.service.shard`).  Because the
+dispatcher is the only thread that touches the backend, its
+(unsynchronized) caches are never accessed concurrently, and the
+results handed back are exactly what a serial ``predict_many`` over
+the same payloads would return — batching changes latency and
+throughput, never results.
 
 Overload behavior (see ``docs/ROBUSTNESS.md``):
 
@@ -39,15 +38,13 @@ Overload behavior (see ``docs/ROBUSTNESS.md``):
 
 from __future__ import annotations
 
-import inspect
 import threading
 import time
 from concurrent.futures import Future
+from contextlib import nullcontext
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.components import ThroughputMode
-from repro.core.model import Prediction
-from repro.isa.block import BasicBlock
 from repro.obs import metrics
 from repro.obs.trace import Span
 from repro.robustness.errors import DeadlineExceeded, QueueFullError
@@ -57,7 +54,7 @@ DEFAULT_MAX_BATCH = 64
 
 #: One queued request: payload, mode, future, optional deadline, and the
 #: trace id of the originating request (``None`` outside the service).
-_Entry = Tuple[BasicBlock, ThroughputMode, Future, Optional[float],
+_Entry = Tuple[object, ThroughputMode, Future, Optional[float],
                Optional[str]]
 
 _WINDOW_SIZE = metrics.catalogued("facile_batch_window_size",
@@ -68,9 +65,10 @@ class MicroBatcher:
     """Merge concurrent single-block requests into backend batch calls.
 
     Args:
-        engine: any object with a ``predict_many(payloads, mode)``
-            method returning one result per payload (an
-            :class:`~repro.engine.engine.Engine`, or a service shard).
+        engine: any object with a ``predict_many(payloads, mode,
+            traces=...)`` method returning one result per payload (a
+            service shard: :class:`~repro.service.shard.ShardEngine` or
+            :class:`~repro.service.shard.LocalShard`).
         max_batch: maximum requests per dispatch window (>= 1).
         max_queue: bound on queued (not yet dispatched) requests;
             ``None`` keeps the queue unbounded (the pre-robustness
@@ -100,14 +98,6 @@ class MicroBatcher:
         self.max_batch = max_batch
         self.max_queue = max_queue
         self.obs_label = obs_label
-        # Feature-detect once whether the backend accepts per-block
-        # trace ids (ShardEngine does, a plain Engine does not), so
-        # dispatch never pays a try/except per window.
-        try:
-            self._engine_accepts_traces = "traces" in inspect.signature(
-                engine.predict_many).parameters
-        except (TypeError, ValueError):  # pragma: no cover - exotic callables
-            self._engine_accepts_traces = False
         self._lock = threading.Lock()
         self._pending_cond = threading.Condition(self._lock)
         self._pending: List[_Entry] = []
@@ -126,10 +116,11 @@ class MicroBatcher:
 
     # -- client side ---------------------------------------------------
 
-    def submit(self, block: BasicBlock, mode: ThroughputMode,
+    def submit(self, payload: object, mode: ThroughputMode,
                deadline: Optional[float] = None,
-               trace: Optional[str] = None) -> "Future[Prediction]":
-        """Enqueue one prediction request; resolves to a ``Prediction``.
+               trace: Optional[str] = None) -> Future:
+        """Enqueue one request; resolves to the backend's result for
+        *payload*.
 
         Args:
             deadline: optional ``time.monotonic`` timestamp; if it
@@ -137,17 +128,16 @@ class MicroBatcher:
                 fails with :class:`DeadlineExceeded` instead of
                 occupying the engine.
             trace: optional trace id of the originating request, carried
-                to the engine backend when it accepts one.
+                to the backend.
         """
-        futures = self._submit_all([(block, mode, deadline, trace)])
+        futures = self._submit_all([(payload, mode, deadline, trace)])
         return futures[0]
 
-    def submit_many(self, blocks: Sequence[BasicBlock],
+    def submit_many(self, payloads: Sequence[object],
                     mode: ThroughputMode,
                     deadline: Optional[float] = None,
-                    trace: Optional[str] = None
-                    ) -> List["Future[Prediction]"]:
-        """Enqueue many requests atomically; one future per block.
+                    trace: Optional[str] = None) -> List[Future]:
+        """Enqueue many requests atomically; one future per payload.
 
         Admission is all-or-nothing against ``max_queue`` (the whole
         group is shed with :class:`QueueFullError` rather than
@@ -155,14 +145,14 @@ class MicroBatcher:
         :meth:`predict_many`, used by the async service front-end to
         await batched predictions without tying up a thread per bulk.
         """
-        return self._submit_all([(block, mode, deadline, trace)
-                                 for block in blocks])
+        return self._submit_all([(payload, mode, deadline, trace)
+                                 for payload in payloads])
 
-    def _submit_all(self, requests: Sequence[Tuple[BasicBlock,
+    def _submit_all(self, requests: Sequence[Tuple[object,
                                                    ThroughputMode,
                                                    Optional[float],
                                                    Optional[str]]]
-                    ) -> List["Future[Prediction]"]:
+                    ) -> List[Future]:
         """Admit *requests* atomically: either the queue takes them
         all, or none and :class:`QueueFullError` — a bulk request is
         never half-enqueued when the service sheds it with a 429."""
@@ -176,37 +166,29 @@ class MicroBatcher:
                 raise QueueFullError(
                     f"admission queue full ({len(self._pending)} queued, "
                     f"bound {self.max_queue}); retry later")
-            futures: List["Future[Prediction]"] = []
-            for block, mode, deadline, trace in requests:
-                future: "Future[Prediction]" = Future()
-                self._pending.append((block, mode, future, deadline,
+            futures: List[Future] = []
+            for payload, mode, deadline, trace in requests:
+                future: Future = Future()
+                self._pending.append((payload, mode, future, deadline,
                                       trace))
                 futures.append(future)
             self.requests += len(requests)
             self._pending_cond.notify()
             return futures
 
-    def predict(self, block: BasicBlock, mode: ThroughputMode,
-                timeout: Optional[float] = None,
-                deadline: Optional[float] = None) -> Prediction:
-        """Blocking convenience wrapper around :meth:`submit`."""
-        return self.submit(block, mode,
-                           deadline=deadline).result(timeout=timeout)
-
-    def predict_many(self, blocks: Sequence[BasicBlock],
+    def predict_many(self, payloads: Sequence[object],
                      mode: ThroughputMode,
                      timeout: Optional[float] = None,
-                     deadline: Optional[float] = None
-                     ) -> List[Prediction]:
-        """Submit a bulk request and wait for all of its predictions.
+                     deadline: Optional[float] = None) -> List[object]:
+        """Submit a bulk request and wait for all of its results.
 
-        Each block rides the shared batching queue individually, so
+        Each payload rides the shared batching queue individually, so
         bulk requests from different clients merge into common windows;
         admission is all-or-nothing against ``max_queue``.  Results
         preserve input order.
         """
         futures = self._submit_all(
-            [(block, mode, deadline, None) for block in blocks])
+            [(payload, mode, deadline, None) for payload in payloads])
         return [future.result(timeout=timeout) for future in futures]
 
     # -- lifecycle -----------------------------------------------------
@@ -281,35 +263,25 @@ class MicroBatcher:
         if self.obs_label is not None:
             _WINDOW_SIZE.observe(len(live), uarch=self.obs_label)
         groups: Dict[ThroughputMode,
-                     List[Tuple[BasicBlock, Future, Optional[str]]]] = {}
-        for block, mode, future, _, trace in live:
-            groups.setdefault(mode, []).append((block, future, trace))
+                     List[Tuple[object, Future, Optional[str]]]] = {}
+        for payload, mode, future, _, trace in live:
+            groups.setdefault(mode, []).append((payload, future, trace))
         for mode, entries in groups.items():
-            blocks = [block for block, _, _ in entries]
+            payloads = [payload for payload, _, _ in entries]
+            traces = [trace for _, _, trace in entries]
             try:
-                if self._engine_accepts_traces:
-                    traces = [trace for _, _, trace in entries]
-                    if self.obs_label is not None:
-                        with Span("batcher.dispatch"):
-                            predictions = self.engine.predict_many(
-                                blocks, mode, traces=traces)
-                    else:
-                        predictions = self.engine.predict_many(
-                            blocks, mode, traces=traces)
-                elif self.obs_label is not None:
-                    with Span("batcher.dispatch"):
-                        predictions = self.engine.predict_many(blocks,
-                                                               mode)
-                else:
-                    predictions = self.engine.predict_many(blocks, mode)
+                with (Span("batcher.dispatch") if self.obs_label is not None
+                      else nullcontext()):
+                    results = self.engine.predict_many(
+                        payloads, mode, traces=traces)
             except Exception as exc:  # pragma: no cover - engine failure
                 for _, future, _ in entries:
                     if not future.done():
                         future.set_exception(exc)
                 continue
-            for (_, future, _), prediction in zip(entries, predictions):
+            for (_, future, _), result in zip(entries, results):
                 if not future.done():
-                    future.set_result(prediction)
+                    future.set_result(result)
 
     # -- introspection -------------------------------------------------
 

@@ -71,17 +71,16 @@ known forms takes no lock, and representatives and facts are set with
 ``dict.setdefault``, whose first value wins.  A core's own entries and
 rows are not synchronized: one core serves one thread.
 
-Select the core per :class:`~repro.engine.engine.Engine` with
-``core="object"|"columnar"``, per process with ``REPRO_ENGINE_CORE``,
-or per CLI run with ``facile predict --core``.  The default is
-``columnar``, and the prediction service runs nothing else: its shards
-predict straight from request bytes with
-:meth:`ColumnarCore.predict_raw_counted` (see ``docs/ARCHITECTURE.md``).
+This is the one prediction core of the program: ``facile predict``,
+the hunt, the Facile predictor and Table 4 hold a :class:`ColumnarCore`,
+and the prediction service's shards predict straight from request bytes
+with :meth:`ColumnarCore.predict_raw_counted` (see
+``docs/ARCHITECTURE.md``).  The object model stays the reference that
+the differential tests, the simulator and the baselines call directly.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from fractions import Fraction
@@ -116,40 +115,8 @@ from repro.uops.fusion import can_macro_fuse
 
 _ALL_COMPONENTS = frozenset(Component)
 
-#: Recognized core names, and the engine-wide default.
-VALID_CORES = ("object", "columnar")
-DEFAULT_CORE = "columnar"
-
 #: Compiled entries held per core (LRU-bounded, like the analysis cache).
 DEFAULT_MAX_ENTRIES = 65536
-
-
-def resolve_core(core: Optional[str] = None) -> str:
-    """Resolve the effective prediction core name.
-
-    Precedence: the explicit *core* argument, then the
-    ``REPRO_ENGINE_CORE`` environment variable, then
-    :data:`DEFAULT_CORE`.  An invalid explicit argument raises; an
-    invalid environment value warns and falls back to the default (it
-    is read at engine construction inside arbitrary commands, where
-    crashing would be worse than serving the default core).
-    """
-    if core is not None:
-        if core not in VALID_CORES:
-            raise ValueError(
-                f"unknown prediction core {core!r} "
-                f"(expected one of {', '.join(VALID_CORES)})")
-        return core
-    env = os.environ.get("REPRO_ENGINE_CORE", "").strip().lower()
-    if env in VALID_CORES:
-        return env
-    if env:
-        import warnings
-        warnings.warn(
-            f"ignoring invalid REPRO_ENGINE_CORE={env!r} "
-            f"(expected one of {', '.join(VALID_CORES)}); "
-            f"using {DEFAULT_CORE!r}")
-    return DEFAULT_CORE
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +474,7 @@ class ColumnarCore:
 
     Accepts the same variant knobs as :class:`~repro.core.model.Facile`
     (``simple_predec`` / ``simple_dec`` / ``components`` / ``exclude``),
-    so every engine configuration can route through it.  Entries and
+    so every Facile variant has a compiled twin.  Entries and
     the per-item rows are held per core instance (one core serves one
     µarch + variant), each in an LRU of *max_entries*; the form trie,
     the representative instructions and the form facts are shared

@@ -9,7 +9,8 @@ from repro.bhive.suite import BenchmarkSuite
 from repro.core.components import ThroughputMode
 from repro.eval.metrics import kendall_tau, mape
 from repro.isa.block import BasicBlock
-from repro.sim.measure import measure
+from repro.sim.measure import default_workers, measure, measure_many, \
+    registered
 from repro.uarch.config import MicroArchConfig
 from repro.uops.database import UopsDatabase
 
@@ -40,25 +41,18 @@ def measured_suite(suite: BenchmarkSuite, cfg: MicroArchConfig,
     """Oracle measurements for the whole suite (cached per block).
 
     When a worker count is given — or a process-wide default is set
-    (``repro.engine.set_default_workers``, the CLI's ``--workers``) —
-    the cycle-level simulations fan out over ``measure_many``'s pool,
-    which is where most of a full-suite evaluation's wall-clock goes.
+    (:func:`repro.sim.measure.set_default_workers`, the CLI's
+    ``--workers``) — the cycle-level simulations fan out over
+    ``measure_many``'s pool, which is where most of a full-suite
+    evaluation's wall-clock goes.
     """
-    from repro.engine.engine import default_workers, measure_many
-    from repro.uarch import uarch_by_name
-
     loop = mode is ThroughputMode.LOOP
     workers = n_workers if n_workers is not None else default_workers()
-    if workers is not None and len(suite) > 1:
-        try:
-            registered = uarch_by_name(cfg.abbrev) == cfg
-        except KeyError:
-            registered = False
-        if registered:
-            return measure_many(cfg, [b.block(loop) for b in suite],
-                                mode, n_workers=workers)
-        # Custom configs cannot be rebuilt by name inside workers:
-        # measure serially rather than fail.
+    # Custom configs cannot be rebuilt by name inside workers: measure
+    # them serially rather than fail.
+    if workers is not None and len(suite) > 1 and registered(cfg):
+        return measure_many(cfg, [b.block(loop) for b in suite],
+                            mode, n_workers=workers)
     db = db or UopsDatabase(cfg)
     return [measure(b.block(loop), cfg, mode, db) for b in suite]
 

@@ -1,13 +1,13 @@
 """Fault tolerance: typed failures, breakers, retries, fault injection.
 
 The robustness layer hardens every execution path of the repo — the
-batch engine's measurement pool, the baseline predictors, the HTTP service,
+oracle's measurement pool, the baseline predictors, the HTTP service,
 and the discovery campaigns — and ships the deterministic chaos harness
 that proves the hardening works:
 
 * :mod:`repro.robustness.errors` — the typed failure vocabulary
-  (:class:`PredictorError` result slots, :class:`CircuitOpenError`,
-  :class:`DeadlineExceeded`, :class:`QueueFullError`);
+  (:class:`CircuitOpenError`, :class:`DeadlineExceeded`,
+  :class:`QueueFullError`);
 * :mod:`repro.robustness.breaker` — :class:`CircuitBreaker`
   (closed / open / half-open, cooldown, probes);
 * :mod:`repro.robustness.retry` — :class:`RetryPolicy` (bounded
@@ -30,7 +30,6 @@ from repro.robustness.errors import (
     CircuitOpenError,
     DeadlineExceeded,
     FaultInjected,
-    PredictorError,
     QueueFullError,
 )
 from repro.robustness.faults import (
@@ -57,7 +56,6 @@ __all__ = [
     "FaultSpecError",
     "HALF_OPEN",
     "OPEN",
-    "PredictorError",
     "QueueFullError",
     "RetryPolicy",
     "active_plan",

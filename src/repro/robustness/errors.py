@@ -3,10 +3,6 @@
 Every mechanism in :mod:`repro.robustness` reports failures through
 these types instead of letting raw exceptions escape:
 
-* :class:`PredictorError` — a *result slot*: what
-  ``Engine.predict_many(..., on_error="record")`` puts in place of a
-  block whose prediction raised, so a single failing block degrades
-  one entry instead of aborting the batch;
 * :class:`CircuitOpenError` — raised when a circuit breaker refuses a
   call; carries the breaker name and remaining cooldown so callers can
   record a typed skip;
@@ -20,35 +16,6 @@ these types instead of letting raw exceptions escape:
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional
-
-#: The failure kinds a :class:`PredictorError` can carry.
-ERROR_KINDS = ("exception", "circuit_open", "injected")
-
-
-@dataclass(frozen=True)
-class PredictorError:
-    """A typed per-task failure, merged into batch results by index.
-
-    Attributes:
-        kind: one of :data:`ERROR_KINDS`.
-        detail: human-readable failure description (exception text,
-            breaker state, ...).  Never a traceback.
-        attempts: how many times the task was tried before giving up.
-        index: the task's index within its batch, when known.
-    """
-
-    kind: str
-    detail: str
-    attempts: int = 1
-    index: Optional[int] = None
-
-    def to_dict(self) -> dict:
-        """A JSON-ready rendering (used by reports and responses)."""
-        return {"error": self.kind, "detail": self.detail,
-                "attempts": self.attempts}
 
 
 class CircuitOpenError(Exception):

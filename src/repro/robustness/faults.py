@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import fnmatch
 import hashlib
+import multiprocessing
 import os
 import threading
 import time
@@ -62,6 +63,12 @@ HANG_SECONDS = 300.0
 
 #: Default extra latency of a ``slow`` fault.
 DEFAULT_SLOW_MS = 25.0
+
+#: Per-task deadline of worker processes (the measurement pool, the
+#: service shards) when a fault plan is active but no explicit timeout
+#: was configured: injection without a deadline could hang forever,
+#: which is exactly what the harness exists to rule out.
+DEFAULT_FAULTED_TIMEOUT = 10.0
 
 
 class FaultSpecError(ValueError):
@@ -313,6 +320,14 @@ def act_in_process(encoded: Tuple[str, float], site: str) -> None:
         time.sleep(HANG_SECONDS)
         return
     raise FaultInjected(f"injected {kind} at {site}")
+
+
+def _pool_context():
+    """The start method of worker processes: fork (cheap, shares the
+    imported package) where available, else the platform default."""
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()
 
 
 def act_in_worker(encoded: Tuple[str, float], site: str) -> None:

@@ -4,7 +4,8 @@ Responses are encoded with :func:`json_bytes` — sorted keys, no
 whitespace — so a response's bytes are a pure function of its payload.
 That is what makes the service's acceptance property testable: a bulk
 response must be *byte-identical* to serializing the predictions of a
-serial :meth:`Engine.predict_many` over the same blocks.
+serial ``predict_many`` over the same blocks (on the object model or
+its compiled twin, the columnar core: their predictions are equal).
 
 Prediction values carry exact :class:`fractions.Fraction` bounds; the
 wire format keeps both views — ``cycles`` (the paper's 2-digit float

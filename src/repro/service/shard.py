@@ -46,11 +46,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.components import ThroughputMode
 from repro.engine.columnar import ColumnarCore
-from repro.engine.engine import DEFAULT_FAULTED_TIMEOUT, _pool_context
 from repro.isa.block import BasicBlock
 from repro.obs import log
 from repro.obs.trace import Span
-from repro.robustness.faults import act_in_worker, active_plan
+from repro.robustness.faults import DEFAULT_FAULTED_TIMEOUT, \
+    _pool_context, act_in_worker, active_plan
 from repro.service.serialize import json_bytes, prediction_payload
 from repro.uarch import uarch_by_name
 
@@ -361,7 +361,7 @@ class ShardEngine:
         Without injected faults a slow answer is just a big batch on a
         busy box — the reader thread catches real deaths, so the wait
         is unbounded.  With a plan active, a ``timeout`` fault can hang
-        the worker; scale the engine's faulted budget by batch size.
+        the worker; scale the faulted budget by batch size.
         """
         if active_plan() is None:
             return None

@@ -1,4 +1,5 @@
-"""Columnar-core unit behavior: routing, memoization, bounds, errors."""
+"""Columnar-core unit behavior: equivalence, memoization, bounds,
+errors."""
 
 import ast
 import gc
@@ -11,8 +12,8 @@ import pytest
 from repro.bhive.suite import BenchmarkSuite
 from repro.core.components import Component, ThroughputMode
 from repro.core.model import Facile
-from repro.engine import ColumnarCore, Engine, resolve_core
-from repro.engine.columnar import DEFAULT_CORE, _BlockEntry
+from repro.engine import ColumnarCore
+from repro.engine.columnar import _BlockEntry
 from repro.isa.block import BasicBlock
 from repro.uarch import uarch_by_name
 
@@ -25,54 +26,19 @@ def blocks():
     return [b.block_l for b in BenchmarkSuite.generate(12, seed=13)]
 
 
-class TestResolveCore:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_CORE", "columnar")
-        assert resolve_core("object") == "object"
-
-    def test_env_wins_over_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_CORE", "object")
-        assert resolve_core() == "object"
-
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE_CORE", raising=False)
-        assert resolve_core() == DEFAULT_CORE == "columnar"
-
-    def test_invalid_explicit_raises(self):
-        with pytest.raises(ValueError, match="unknown prediction core"):
-            resolve_core("vectorized")
-
-    def test_invalid_env_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_CORE", "bogus")
-        with pytest.warns(UserWarning, match="REPRO_ENGINE_CORE"):
-            assert resolve_core() == DEFAULT_CORE
-
-
 class TestEngineRouting:
-    def test_default_engine_uses_columnar(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE_CORE", raising=False)
-        engine = Engine(SKL)
-        assert engine.core == "columnar"
-        assert isinstance(engine.predictor, ColumnarCore)
-
-    def test_object_pin(self):
-        engine = Engine(SKL, core="object")
-        assert engine.core == "object"
-        assert engine.predictor is engine.model
-        assert engine.columnar is None
-
-    def test_env_routing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_CORE", "object")
-        assert Engine(SKL).core == "object"
+    """The columnar core, as every prediction path builds it, against
+    the object model: the reference keeps its analysis cache, and both
+    answer equal predictions."""
 
     def test_object_core_still_populates_analysis_cache(self, blocks):
-        engine = Engine(SKL, core="object")
-        engine.predict_many(blocks, ThroughputMode.LOOP)
-        assert engine.cache.misses >= len(blocks)
+        model = Facile(SKL)
+        model.predict_many(blocks, ThroughputMode.LOOP)
+        assert model.cache.misses >= len(blocks)
 
     def test_columnar_engine_equals_object_engine(self, blocks):
-        columnar = Engine(SKL, core="columnar")
-        reference = Engine(SKL, core="object")
+        columnar = ColumnarCore(SKL)
+        reference = Facile(SKL)
         for mode in MODES:
             assert columnar.predict_many(blocks, mode) \
                 == reference.predict_many(blocks, mode)
@@ -84,10 +50,9 @@ class TestEngineRouting:
         kwargs = dict(simple_predec=True, simple_dec=True,
                       exclude=(Component.PORTS,))
         reference = Facile(SKL, **kwargs)
-        engine = Engine(SKL, core="columnar", **kwargs)
-        assert isinstance(engine.predictor, ColumnarCore)
+        core = ColumnarCore(SKL, **kwargs)
         for mode in MODES:
-            assert engine.predict_many(blocks, mode) \
+            assert core.predict_many(blocks, mode) \
                 == reference.predict_many(blocks, mode)
 
     def test_components_subset(self, blocks):
@@ -348,10 +313,3 @@ def test_reset_empties_every_module_table(blocks):
         else:
             assert not table, name
 
-
-def test_engine_batch_path_matches_reference_on_record(blocks):
-    engine = Engine(SKL, core="columnar")
-    results = engine.predict_many(blocks, ThroughputMode.LOOP,
-                                  on_error="record")
-    assert results == Facile(SKL).predict_many(blocks,
-                                               ThroughputMode.LOOP)

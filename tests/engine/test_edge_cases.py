@@ -6,10 +6,14 @@ with an empty block list) and must return cleanly without spinning up
 measurement pools or dispatch windows.
 """
 
+import json
+
 from repro.core.components import ThroughputMode
 from repro.engine.batching import MicroBatcher
-from repro.engine.engine import Engine, measure_many
+from repro.engine.columnar import ColumnarCore
 from repro.isa.block import BasicBlock
+from repro.service.shard import LocalShard
+from repro.sim.measure import measure_many
 from repro.uarch import uarch_by_name
 
 
@@ -19,11 +23,11 @@ def _block():
 
 class TestEngineEmptyBatches:
     def test_serial_predict_many_empty(self):
-        engine = Engine(uarch_by_name("SKL"))
-        assert engine.predict_many([], ThroughputMode.UNROLLED) == []
+        core = ColumnarCore(uarch_by_name("SKL"))
+        assert core.predict_many([], ThroughputMode.UNROLLED) == []
 
     def test_single_block_batch(self):
-        predictions = Engine(uarch_by_name("SKL")).predict_many(
+        predictions = ColumnarCore(uarch_by_name("SKL")).predict_many(
             [_block()], ThroughputMode.UNROLLED)
         assert len(predictions) == 1
         assert predictions[0].cycles > 0
@@ -40,21 +44,22 @@ class TestEngineEmptyBatches:
 
 class TestMicroBatcherEmptyWindows:
     def test_close_without_traffic(self):
-        batcher = MicroBatcher(Engine(uarch_by_name("SKL")))
+        batcher = MicroBatcher(LocalShard("SKL"))
         batcher.close()
         assert batcher.batches == 0
         assert batcher.stats()["requests"] == 0
 
     def test_bulk_empty_request(self):
-        with MicroBatcher(Engine(uarch_by_name("SKL"))) as batcher:
+        with MicroBatcher(LocalShard("SKL")) as batcher:
             assert batcher.predict_many(
                 [], ThroughputMode.UNROLLED) == []
 
     def test_empty_window_dispatch_is_a_noop(self):
-        with MicroBatcher(Engine(uarch_by_name("SKL"))) as batcher:
+        with MicroBatcher(LocalShard("SKL")) as batcher:
             batcher._dispatch([])  # a window that closed empty
             assert batcher.batches == 0
             # and the batcher still works afterwards
-            prediction = batcher.predict(
-                _block(), ThroughputMode.UNROLLED, timeout=30)
-            assert prediction.cycles > 0
+            fragment = batcher.submit(
+                (_block().raw, False),
+                ThroughputMode.UNROLLED).result(timeout=30)
+            assert json.loads(fragment)["cycles"] > 0

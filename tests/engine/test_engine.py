@@ -1,11 +1,13 @@
-"""Engine property tests: caching and pooling never change results.
+"""Prediction-path property tests: caching and pooling never change
+results.
 
-The acceptance property of the batch engine is that every path —
-per-call with a cold cache (the seed behavior) and serial batch with a
-shared cache — produces *identical* ``Prediction`` values (throughput,
-bounds, bottlenecks, critical instructions, detail payloads) on a
-generated BHive suite, for every µarch and both throughput notions,
-and that pooled oracle measurements equal serial ones.
+The acceptance property of the prediction paths is that every one —
+the object model per call with a cold cache (the seed behavior) and the
+columnar core's batch with its compiled entries — produces *identical*
+``Prediction`` values (throughput, bounds, bottlenecks, critical
+instructions, detail payloads) on a generated BHive suite, for every
+µarch and both throughput notions, and that pooled oracle measurements
+equal serial ones.
 """
 
 import pytest
@@ -13,7 +15,7 @@ import pytest
 from repro.bhive.suite import BenchmarkSuite
 from repro.core.components import Component, ThroughputMode
 from repro.core.model import Facile
-from repro.engine import AnalysisCache, Engine
+from repro.engine import AnalysisCache, ColumnarCore
 from repro.isa.block import BasicBlock
 from repro.uarch import ALL_UARCHS, uarch_by_name
 from repro.uops.database import UopsDatabase
@@ -47,21 +49,11 @@ class TestPathEquivalence:
     def test_cached_equals_uncached(self, suite, cfg, mode):
         blocks = [b.block(mode is ThroughputMode.LOOP) for b in suite]
         uncached = seed_style_predictions(cfg, blocks, mode)
-        cached = Engine(cfg).predict_many(blocks, mode)
+        cached = ColumnarCore(cfg).predict_many(blocks, mode)
         assert cached == uncached
 
-    def test_predict_suite_covers_both_modes(self, suite):
-        by_mode = Engine(SKL).predict_suite(suite)
-        assert set(by_mode) == set(MODES)
-        for mode, predictions in by_mode.items():
-            assert len(predictions) == len(suite)
-            assert predictions == Engine(SKL).predict_many(
-                [b.block(mode is ThroughputMode.LOOP) for b in suite],
-                mode)
-
     def test_parallel_measurement_equals_serial(self, suite):
-        from repro.engine.engine import measure_many
-        from repro.sim.measure import measure
+        from repro.sim.measure import measure, measure_many
         db = UopsDatabase(SKL)
         blocks = [b.block_l for b in suite][:8]
         serial = [measure(block, SKL, ThroughputMode.LOOP, db,
@@ -78,16 +70,18 @@ class TestPathEquivalence:
                             n_workers=2) == serial
 
     def test_round_tripped_blocks_share_the_analysis(self, suite):
-        # Blocks rebuilt from raw bytes must hit the same cache entry
-        # as the original decoded blocks.
-        engine = Engine(SKL)
+        # Blocks rebuilt from raw bytes must resolve to the entries the
+        # original decoded blocks compiled: one sig hit each, no miss.
+        core = ColumnarCore(SKL)
         blocks = [b.block_l for b in suite]
-        engine.predict_many(blocks, ThroughputMode.LOOP)
-        misses = engine.cache.misses
-        engine.predict_many(
+        core.predict_many(blocks, ThroughputMode.LOOP)
+        before = core.stats()
+        core.predict_many(
             [BasicBlock.from_bytes(b.raw) for b in blocks],
             ThroughputMode.LOOP)
-        assert engine.cache.misses == misses
+        after = core.stats()
+        assert after["misses"] == before["misses"]
+        assert after["sig_hits"] == before["sig_hits"] + len(blocks)
 
 
 class TestCacheKeying:

@@ -151,3 +151,16 @@ class TestRunner:
             len(small_suite)
         assert 0 <= result.mape < 0.2
         assert result.kendall > 0.7
+
+    def test_custom_config_measures_serially(self, small_suite):
+        # Pool workers rebuild a µarch by name, so a config outside the
+        # registry skips the pool and measures in-process instead.
+        import dataclasses
+
+        from repro.sim.measure import measure
+        cfg = dataclasses.replace(uarch_by_name("SKL"), abbrev="XYZ")
+        suite = small_suite[:3]
+        assert measured_suite(suite, cfg, ThroughputMode.LOOP,
+                              n_workers=2) == \
+            [measure(b.block_l, cfg, ThroughputMode.LOOP, use_cache=False)
+             for b in suite]

@@ -11,10 +11,9 @@ import pytest
 
 from repro.bhive.suite import BenchmarkSuite
 from repro.core.components import ThroughputMode
-from repro.engine.engine import measure_many
 from repro.robustness import FaultPlan, active_plan, injected
 from repro.service import PredictionService, ServiceClient
-from repro.sim.measure import clear_cache, measure
+from repro.sim.measure import clear_cache, measure, measure_many
 from repro.uarch import uarch_by_name
 
 SKL = uarch_by_name("SKL")

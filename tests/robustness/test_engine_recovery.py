@@ -1,4 +1,4 @@
-"""Engine fault tolerance: measurement-pool recovery, typed failures.
+"""Measurement-pool fault tolerance: recovery from dead workers.
 
 The headline property: a pooled ``measure_many`` batch that suffered
 injected worker kills and task exceptions recovers to values identical
@@ -14,8 +14,8 @@ import pytest
 
 from repro.bhive.suite import BenchmarkSuite
 from repro.core.components import ThroughputMode
-from repro.engine.engine import Engine, measure_many
-from repro.robustness import FaultPlan, PredictorError, injected
+from repro.robustness import FaultPlan, injected
+from repro.sim.measure import measure_many
 from repro.uarch import uarch_by_name
 
 # The module, not the function ``repro.sim`` re-exports under its name.
@@ -76,29 +76,6 @@ class TestCrashRecovery:
         measured = pooled(blocks, "seed=0; worker_kill@engine.measure:0,3")
         assert measured == golden
         assert blocks[0].raw in parent_measurements
-
-
-class TestTypedFailures:
-    def test_serial_record_path_degrades_one_slot(self, blocks,
-                                                  monkeypatch):
-        engine = Engine(SKL)
-        # predict_many runs through whichever core the engine resolved
-        # (columnar by default), so inject there.
-        real = engine.predictor.predict
-        def flaky(block, mode):
-            if block.raw == blocks[3].raw:
-                raise RuntimeError("boom")
-            return real(block, mode)
-        monkeypatch.setattr(engine.predictor, "predict", flaky)
-        results = engine.predict_many(blocks, MODE, on_error="record")
-        assert isinstance(results[3], PredictorError)
-        assert results[3].kind == "exception"
-        assert "boom" in results[3].detail
-        assert sum(isinstance(r, PredictorError) for r in results) == 1
-
-    def test_on_error_validation(self, blocks):
-        with pytest.raises(ValueError):
-            Engine(SKL).predict_many(blocks, MODE, on_error="ignore")
 
 
 class TestMeasureRecovery:

@@ -1,10 +1,11 @@
 """MicroBatcher and bounded-LRU cache property tests.
 
 The batching queue must be invisible in results: whatever the window
-sizes and however many threads submit, the predictions are exactly the
-serial ``Engine.predict_many`` output.  A window is the backlog: a
-request that finds the dispatcher idle goes out at once, and requests
-queued while the backend works go out together in its next call.
+sizes and however many threads submit, a shard's answers are exactly
+what :func:`~repro.service.shard.predict_fragments` returns run
+serially on a fresh core.  A window is the backlog: a request that
+finds the dispatcher idle goes out at once, and requests queued while
+the backend works go out together in its next call.
 """
 
 import threading
@@ -13,8 +14,10 @@ import pytest
 
 from repro.bhive.suite import BenchmarkSuite
 from repro.core.components import ThroughputMode
-from repro.engine import AnalysisCache, Engine, MicroBatcher
+from repro.engine import AnalysisCache, MicroBatcher
+from repro.engine.columnar import ColumnarCore
 from repro.isa.block import BasicBlock
+from repro.service.shard import LocalShard, predict_fragments
 from repro.uarch import uarch_by_name
 from repro.uops.database import UopsDatabase
 
@@ -26,73 +29,83 @@ def suite():
     return BenchmarkSuite.generate(16, seed=123)
 
 
+def payloads(blocks):
+    """Shard payloads of *blocks*: (raw bytes, no counterfactuals)."""
+    return [(block.raw, False) for block in blocks]
+
+
+def serial(requests, mode):
+    """The reference: :func:`predict_fragments` on a fresh core."""
+    return predict_fragments(ColumnarCore(SKL), requests, mode)
+
+
 class TestMicroBatcher:
     def test_bulk_matches_serial_engine(self, suite):
-        blocks = [b.block_l for b in suite]
-        serial = Engine(SKL).predict_many(blocks, ThroughputMode.LOOP)
-        with MicroBatcher(Engine(SKL), max_batch=4) as batcher:
-            batched = batcher.predict_many(blocks, ThroughputMode.LOOP)
-        assert batched == serial
+        requests = payloads(b.block_l for b in suite)
+        expected = serial(requests, ThroughputMode.LOOP)
+        with MicroBatcher(LocalShard("SKL"), max_batch=4) as batcher:
+            batched = batcher.predict_many(requests, ThroughputMode.LOOP)
+        assert batched == expected
 
     def test_concurrent_submitters_match_serial(self, suite):
-        blocks = [b.block_u for b in suite]
-        serial = Engine(SKL).predict_many(blocks,
-                                          ThroughputMode.UNROLLED)
-        with MicroBatcher(Engine(SKL), max_batch=8) as batcher:
-            results = [None] * len(blocks)
+        requests = payloads(b.block_u for b in suite)
+        expected = serial(requests, ThroughputMode.UNROLLED)
+        with MicroBatcher(LocalShard("SKL"), max_batch=8) as batcher:
+            results = [None] * len(requests)
 
             def submit(index):
-                results[index] = batcher.predict(
-                    blocks[index], ThroughputMode.UNROLLED)
+                results[index] = batcher.submit(
+                    requests[index],
+                    ThroughputMode.UNROLLED).result(timeout=30)
 
             threads = [threading.Thread(target=submit, args=(i,))
-                       for i in range(len(blocks))]
+                       for i in range(len(requests))]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join()
-        assert results == serial
+        assert results == expected
 
     def test_mixed_modes_in_one_window(self, suite):
         # Both modes submitted back-to-back: the dispatcher groups by
         # mode inside a window, so results must match per-mode serial
         # runs even when a window carries both.
-        blocks = [b.block_l for b in suite]
-        serial = {mode: Engine(SKL).predict_many(blocks, mode)
-                  for mode in (ThroughputMode.UNROLLED,
-                               ThroughputMode.LOOP)}
-        with MicroBatcher(Engine(SKL), max_batch=64) as batcher:
+        requests = payloads(b.block_l for b in suite)
+        expected = {mode: serial(requests, mode)
+                    for mode in (ThroughputMode.UNROLLED,
+                                 ThroughputMode.LOOP)}
+        with MicroBatcher(LocalShard("SKL"), max_batch=64) as batcher:
             futures = [(mode, index,
-                        batcher.submit(blocks[index], mode))
-                       for index in range(len(blocks))
+                        batcher.submit(requests[index], mode))
+                       for index in range(len(requests))
                        for mode in (ThroughputMode.UNROLLED,
                                     ThroughputMode.LOOP)]
             for mode, index, future in futures:
-                assert future.result(timeout=30) == serial[mode][index]
+                assert future.result(timeout=30) \
+                    == expected[mode][index]
 
     def test_stats_account_for_all_requests(self, suite):
-        blocks = [b.block_l for b in suite]
-        with MicroBatcher(Engine(SKL), max_batch=4) as batcher:
-            batcher.predict_many(blocks, ThroughputMode.LOOP)
+        requests = payloads(b.block_l for b in suite)
+        with MicroBatcher(LocalShard("SKL"), max_batch=4) as batcher:
+            batcher.predict_many(requests, ThroughputMode.LOOP)
             stats = batcher.stats()
-        assert stats["requests"] == len(blocks)
-        assert batcher.batched_requests == len(blocks)
+        assert stats["requests"] == len(requests)
+        assert batcher.batched_requests == len(requests)
         assert 1 <= stats["max_batch_seen"] <= 4
-        assert stats["batches"] >= len(blocks) / 4
+        assert stats["batches"] >= len(requests) / 4
         assert stats["mean_batch_size"] > 0
 
     def test_submit_after_close_raises(self):
-        batcher = MicroBatcher(Engine(SKL))
+        batcher = MicroBatcher(LocalShard("SKL"))
         batcher.close()
         with pytest.raises(RuntimeError):
-            batcher.submit(BasicBlock.from_asm("nop"),
-                           ThroughputMode.LOOP)
+            batcher.submit((b"\x90", False), ThroughputMode.LOOP)
 
     def test_invalid_window_parameters(self):
         with pytest.raises(ValueError):
-            MicroBatcher(Engine(SKL), max_batch=0)
+            MicroBatcher(LocalShard("SKL"), max_batch=0)
         with pytest.raises(TypeError):  # no batching timer to set
-            MicroBatcher(Engine(SKL), max_wait_ms=-1.0)
+            MicroBatcher(LocalShard("SKL"), max_wait_ms=-1.0)
 
 
 class GatedBackend:
@@ -103,9 +116,11 @@ class GatedBackend:
         self.entered = threading.Event()
         self.gate = threading.Event()
         self.calls = []
+        self.traces = []
 
-    def predict_many(self, payloads, mode):
+    def predict_many(self, payloads, mode, traces):
         self.calls.append(list(payloads))
+        self.traces.append(list(traces))
         self.entered.set()
         assert self.gate.wait(timeout=30)
         return list(payloads)
@@ -116,17 +131,21 @@ class TestBacklogWindows:
         backend = GatedBackend()
         first, second, third = object(), object(), object()
         with MicroBatcher(backend) as batcher:
-            futures = [batcher.submit(first, ThroughputMode.LOOP)]
+            futures = [batcher.submit(first, ThroughputMode.LOOP,
+                                      trace="t1")]
             # Dispatched alone: nothing else was queued.
             assert backend.entered.wait(timeout=30)
-            futures += [batcher.submit(payload, ThroughputMode.LOOP)
-                        for payload in (second, third)]
+            futures += [batcher.submit(payload, ThroughputMode.LOOP,
+                                       trace=trace)
+                        for payload, trace in ((second, "t2"),
+                                               (third, None))]
             assert batcher.queue_depth == 2
             backend.gate.set()
             results = [future.result(timeout=30) for future in futures]
         # The submitted objects reach the backend as they are (plain
-        # objects compare by identity).
+        # objects compare by identity), each with its trace id.
         assert backend.calls == [[first], [second, third]]
+        assert backend.traces == [["t1"], ["t2", None]]
         assert results == [first, second, third]
         assert (batcher.batches, batcher.max_batch_seen) == (2, 2)
 

@@ -2,7 +2,7 @@
 
 The acceptance property of the service layer: responses are
 *byte-identical* to serializing the predictions of a serial
-``Engine.predict_many`` over the same blocks — concurrency and
+``Facile.predict_many`` over the same blocks — concurrency and
 micro-batching change latency, never payloads — and ``/v1/stats``
 reports cache and batching statistics that reflect the traffic served.
 """
@@ -16,7 +16,6 @@ import pytest
 from repro.bhive.suite import BenchmarkSuite
 from repro.core.components import ThroughputMode
 from repro.core.model import Facile
-from repro.engine.engine import Engine
 from repro.service import PredictionService, ServiceClient, ServiceError, \
     json_bytes, prediction_to_dict
 from repro.service.server import MAX_HEADER_COUNT
@@ -45,9 +44,10 @@ def suite():
 
 
 def expected_bulk_bytes(suite, mode: ThroughputMode) -> bytes:
-    """What a serial engine pass serializes to (the golden response)."""
+    """What a serial reference pass serializes to (the golden
+    response)."""
     blocks = [b.block(mode is ThroughputMode.LOOP) for b in suite]
-    predictions = Engine(SKL).predict_many(blocks, mode)
+    predictions = Facile(SKL).predict_many(blocks, mode)
     return json_bytes({
         "uarch": "SKL",
         "mode": mode.value,
@@ -135,7 +135,7 @@ class TestConcurrentDeterminism:
     def test_32_concurrent_bulk_clients_byte_identical(self, service,
                                                        suite, mode):
         # The headline acceptance criterion: >= 32 concurrent bulk
-        # clients, every response byte-identical to the serial engine.
+        # clients, every response byte-identical to the serial reference.
         golden = expected_bulk_bytes(suite, mode)
         loop = mode is ThroughputMode.LOOP
         body = {"blocks": [{"hex": b.block(loop).raw.hex()}

@@ -1,5 +1,6 @@
 """Measurement-harness tests."""
 
+import dataclasses
 import importlib
 import sys
 import threading
@@ -9,7 +10,7 @@ import pytest
 from repro.core.components import ThroughputMode
 from repro.isa.block import BasicBlock
 from repro.sim.measure import Measurement, cached_measurement, clear_cache, \
-    measure, measure_suite, store_measurement
+    measure, measure_many, measure_suite, store_measurement
 from repro.uarch import uarch_by_name
 
 #: The module, not the function ``repro.sim`` re-exports under its name.
@@ -45,6 +46,19 @@ class TestMeasure:
         results = measure_suite(blocks, SKL, ThroughputMode.UNROLLED)
         assert [type(r) for r in results] == [Measurement, Measurement]
         assert results[0].cycles < results[1].cycles
+
+
+class TestMeasureMany:
+    @pytest.mark.parametrize("cfg", [
+        dataclasses.replace(SKL, abbrev="XYZ"),
+        dataclasses.replace(SKL, issue_width=SKL.issue_width + 1),
+    ], ids=["unknown-name", "changed-config"])
+    def test_unregistered_uarch_is_a_value_error(self, cfg):
+        # Workers rebuild the µarch from its name, so a config the
+        # registry does not hold under that name cannot be pooled.
+        with pytest.raises(ValueError, match="registered µarch"):
+            measure_many(cfg, [BasicBlock.from_asm("add rax, rbx")],
+                         ThroughputMode.LOOP, n_workers=2)
 
 
 class TestCacheBound:

@@ -258,6 +258,33 @@ class TestStatsCacheKeys:
             'example `"cache"` object']
 
 
+class TestBacktickedFlags:
+    def flag_tree(self, tmp_path, guide):
+        """A README naming a known option, and a docs page of *guide*."""
+        (tmp_path / "README.md").write_text(
+            "Run `facile table2 --size 10 --workers 2`.\n")
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        (docs / "GUIDE.md").write_text(guide)
+        return check_docs.flag_problems(str(tmp_path))
+
+    def test_known_flags_pass(self, tmp_path):
+        assert self.flag_tree(
+            tmp_path, "`facile serve --port 0 --no-shard`, or "
+                      "`--uarch SKL`\n") == []
+
+    def test_unknown_flag_detected(self, tmp_path):
+        assert self.flag_tree(
+            tmp_path, "pick one with `facile predict --core object`\n") \
+            == ["docs/GUIDE.md: `--core` is an option of no `facile` "
+                "subcommand"]
+
+    def test_flag_in_a_fenced_block_is_ignored(self, tmp_path):
+        assert self.flag_tree(
+            tmp_path, "```sh\necho `facile predict --core object`\n"
+                      "```\n") == []
+
+
 class TestSectionReferences:
     def ref_tree(self, tmp_path, readme, script=""):
         (tmp_path / "README.md").write_text(readme)
